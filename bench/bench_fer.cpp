@@ -18,7 +18,7 @@
 /// with a plain diff.
 ///
 /// The interleaver axis includes the paper's headline "two-stage" scheme
-/// (§II): those cells run the streaming frame path at the burst-granular
+/// (§II): those cells pack full code words into the burst-granular
 /// stage-2 side (--side, in bursts) with --spb symbols per DRAM burst, so
 /// their frames are spb x larger than the RS-255 triangle of the classic
 /// rows.
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   cli.add_option("spb", "b", "two-stage symbols per DRAM burst (default 64)");
   cli.add_option("links", "n", "downlinks interleaved on the wire (default 1)");
   cli.add_option("frame-slices", "n",
-                 "split each streaming cell's frames into n intra-frame "
+                 "split each cell's frames into n intra-frame "
                  "channel slices spread over the sweep workers (default 1)");
   cli.add_option("listen", "h:p", "adopt remote TCP workers (fleet driver mode)");
   cli.add_option("connect", "h:p", "serve a --listen driver as a remote worker");

@@ -1165,10 +1165,9 @@ PipelineSliceResult fer_slice_from_json(const Json& record) {
 namespace {
 
 /// Merge an expanded cell x slice run back to one FerCell per scenario:
-/// streaming cells combine their slices (channel events merged, decode +
-/// DRAM phases run here — both deterministic), materialized cells were
-/// computed whole by their slice 0. A cell is done only when every one of
-/// its slices is.
+/// each cell combines its slices (channel events merged, decode + DRAM
+/// phases run here — both deterministic). A cell is done only when every
+/// one of its slices is.
 FerDistResult fer_dist_from_sliced(const SweepGrid& grid,
                                    const FerSweepOptions& options,
                                    DsweepResult res) {
@@ -1183,32 +1182,24 @@ FerDistResult fer_dist_from_sliced(const SweepGrid& grid,
     bool all = true;
     for (unsigned s = 0; s < S && all; ++s) all = res.done[c * S + s];
     if (!all) continue;
-    const Json& first = res.records[c * S];
-    if (first.contains("slice")) {
-      std::vector<PipelineSliceResult> slices;
-      slices.reserve(S);
-      for (unsigned s = 0; s < S; ++s) {
-        slices.push_back(fer_slice_from_json(res.records[c * S + s]));
-      }
-      const Scenario scenario = grid.cell(c);
-      const PipelineConfig config = fer_cell_config(
-          options.base, scenario, job_seed(options.sweep.base_seed, c));
-      auto it = codecs.find(scenario.rs_k);
-      if (it == codecs.end()) {
-        it = codecs.try_emplace(scenario.rs_k, options.base.rs_n, scenario.rs_k)
-                 .first;
-      }
-      FerCell cell;
-      cell.scenario = scenario;
-      cell.result = combine_pipeline_slices(config, it->second, std::move(slices));
-      if (cell.result.dram_ran) {
-        cell.dram_bursts = cell.result.dram.total_bursts();
-        cell.dram_sched_ns_per_pick = cell.result.dram.sched_ns_per_pick();
-      }
-      out.cells[c] = std::move(cell);
-    } else {
-      out.cells[c] = fer_cell_from_json(first);
+    std::vector<PipelineSliceResult> slices;
+    slices.reserve(S);
+    for (unsigned s = 0; s < S; ++s) {
+      slices.push_back(fer_slice_from_json(res.records[c * S + s]));
     }
+    const Scenario scenario = grid.cell(c);
+    const PipelineConfig config = fer_cell_config(
+        options.base, scenario, job_seed(options.sweep.base_seed, c));
+    const auto& rs =
+        codecs.try_emplace(scenario.rs_k, options.base.rs_n, scenario.rs_k).first->second;
+    FerCell cell;
+    cell.scenario = scenario;
+    cell.result = combine_pipeline_slices(config, rs, std::move(slices));
+    if (cell.result.dram_ran) {
+      cell.dram_bursts = cell.result.dram.total_bursts();
+      cell.dram_sched_ns_per_pick = cell.result.dram.sched_ns_per_pick();
+    }
+    out.cells[c] = std::move(cell);
     out.done[c] = true;
   }
   return out;

@@ -114,17 +114,9 @@ Json fer_kernel(const Json& job, std::uint64_t index, std::uint64_t seed) {
     throw std::invalid_argument("fer kernel: invalid RS(n, k)");
   }
   const PipelineConfig config = fer_cell_config(base, scenario, cell_seed);
-  if (num_slices > 1 && pipeline_streams(config)) {
+  if (num_slices > 1) {
     return fer_slice_to_json(scenario,
                              run_pipeline_slice(config, slice, num_slices));
-  }
-  if (num_slices > 1 && slice != 0) {
-    // Materialized cells can't split inside a frame; their slice 0
-    // computes the whole cell and the remaining slices are placeholders
-    // the merge step skips.
-    Json j;
-    j["skipped"] = true;
-    return j;
   }
   const fec::ReedSolomon rs(config.rs_n, config.rs_k);
   return fer_cell_to_json(scenario, run_pipeline(config, rs));

@@ -8,7 +8,6 @@
 #include "channel/gilbert_elliott.hpp"
 #include "channel/leo.hpp"
 #include "common/mathutil.hpp"
-#include "common/rng.hpp"
 #include "interleaver/block.hpp"
 #include "interleaver/streams.hpp"
 #include "interleaver/triangular.hpp"
@@ -23,11 +22,29 @@ namespace {
 constexpr unsigned kChannelSymbolBits = 8;  // RS symbols are bytes
 constexpr std::uint64_t kDefaultChunkSymbols = 65536;
 
-/// Stream permutation for the pipeline's interleaver axis. The block
-/// variant reshapes the packed triangle into an exact rows x cols
-/// rectangle (classic SRAM interleaver) as the non-triangular baseline;
-/// the two-stage variant is the paper's SRAM-block-into-DRAM-triangle
-/// composition and is only ever driven through index math (streaming).
+/// One channel hit in the frame workspace: input index << 8 | XOR flip.
+using Hit = std::uint64_t;
+constexpr std::uint64_t kMaxHitCapacity = std::uint64_t{1} << 56;
+
+constexpr Hit make_hit(std::uint64_t input_index, std::uint8_t flip) {
+  return input_index << 8 | flip;
+}
+constexpr std::uint64_t hit_index(Hit h) { return h >> 8; }
+constexpr std::uint8_t hit_flip(Hit h) { return static_cast<std::uint8_t>(h); }
+
+/// The hit list's reservation before the warm-up frame, and its floor
+/// after it.
+constexpr std::size_t kMinHitReserve = 4096;
+/// After the warm-up frame the hit list reserves this multiple of that
+/// frame's events. A fade frame's count is a sum over a few dozen
+/// geometric fades, so one frame can read a cell's rate low by up to ~3x.
+constexpr std::size_t kHitHeadroom = 4;
+
+/// Stream permutation for the pipeline's interleaver axis, used only
+/// through its O(1) inverse. The block variant reshapes the packed
+/// triangle into an exact rows x cols rectangle (classic SRAM
+/// interleaver) as the non-triangular baseline; the two-stage variant is
+/// the paper's SRAM-block-into-DRAM-triangle composition.
 class StreamInterleaver {
  public:
   StreamInterleaver(const std::string& kind, std::uint64_t side,
@@ -59,9 +76,6 @@ class StreamInterleaver {
     throw std::invalid_argument("pipeline: unknown interleaver '" + kind + "'");
   }
 
-  /// False for the "none" identity (callers skip the copy entirely).
-  bool active() const { return tri_ != nullptr || block_ != nullptr || two_ != nullptr; }
-
   /// Frame size in symbols.
   std::uint64_t capacity_symbols() const { return capacity_; }
 
@@ -74,18 +88,6 @@ class StreamInterleaver {
     return p;
   }
 
-  void forward_into(std::span<const std::uint8_t> in,
-                    std::span<std::uint8_t> out) const {
-    if (tri_) return tri_->interleave_into(in, out);
-    block_->interleave_into(in, out);
-  }
-
-  void backward_into(std::span<const std::uint8_t> in,
-                     std::span<std::uint8_t> out) const {
-    if (tri_) return tri_->deinterleave_into(in, out);
-    block_->deinterleave_into(in, out);
-  }
-
  private:
   std::unique_ptr<interleaver::TriangularInterleaver> tri_;
   std::unique_ptr<interleaver::BlockInterleaver> block_;
@@ -93,297 +95,177 @@ class StreamInterleaver {
   std::uint64_t capacity_ = 0;
 };
 
-/// One sparse channel corruption, already mapped back from wire order to
-/// the input (code-word stream) position.
-struct ErrorHit {
-  std::uint64_t input_index;
-  std::uint8_t flip;
+/// Where a frame's input (code-word stream) indices sit in its RS words.
+///
+/// * Packed: full RS(n, k) words back to back; a sub-word tail of the
+///   interleaver capacity is zero padding.
+/// * Row-aligned (side == rs_n): triangle row i carries one shortened
+///   RS(n, k) word with i implicit leading zeros, transmitted as word
+///   symbols [i, n). A row carries data only while its length n - i
+///   exceeds the parity, i.e. rows 0..k-1; the trailing rows are padding.
+///
+/// Either way word w's symbol j sits at input index base(w) + j for
+/// j >= lead(w), and its data is symbols [lead(w), k).
+class WordLayout {
+ public:
+  static WordLayout packed(std::uint64_t capacity, unsigned n) {
+    return WordLayout(n, capacity / n, {});
+  }
+
+  static WordLayout row_aligned(unsigned n, unsigned k) {
+    std::vector<std::uint64_t> row_start(k + 1, 0);
+    for (unsigned i = 0; i < k; ++i) row_start[i + 1] = row_start[i] + (n - i);
+    return WordLayout(n, k, std::move(row_start));
+  }
+
+  /// Code words per frame.
+  std::uint64_t words() const { return words_; }
+
+  /// Word holding \p input_index; >= words() inside the padding.
+  std::uint64_t word_of(std::uint64_t input_index) const {
+    if (row_start_.empty()) return input_index / n_;
+    return static_cast<std::uint64_t>(
+        std::upper_bound(row_start_.begin(), row_start_.end(), input_index) -
+        row_start_.begin() - 1);
+  }
+
+  /// Implicit leading zeros of word \p w: its first checked symbol.
+  unsigned lead(std::uint64_t w) const {
+    return row_start_.empty() ? 0 : static_cast<unsigned>(w);
+  }
+
+  /// Input index of word \p w's (possibly implicit) symbol 0.
+  std::uint64_t base(std::uint64_t w) const {
+    return row_start_.empty() ? w * n_ : row_start_[w] - w;
+  }
+
+ private:
+  WordLayout(unsigned n, std::uint64_t words, std::vector<std::uint64_t> row_start)
+      : n_(n), words_(words), row_start_(std::move(row_start)) {}
+
+  unsigned n_;
+  std::uint64_t words_;
+  std::vector<std::uint64_t> row_start_;  ///< row-aligned only: rows 0..k
+};
+
+/// The interleaver and word layout every frame of one config uses. The
+/// classic kinds are row-aligned exactly when the side equals the code
+/// word; two-stage frames are burst-granular and always packed.
+struct FrameGeometry {
+  explicit FrameGeometry(const PipelineConfig& config)
+      : side(config.side != 0 ? config.side : config.rs_n),
+        il(config.interleaver, side, config.symbols_per_burst),
+        layout(make_layout(config, side, il.capacity_symbols())) {}
+
+  std::uint64_t side;
+  StreamInterleaver il;
+  WordLayout layout;
+
+ private:
+  static WordLayout make_layout(const PipelineConfig& config, std::uint64_t side,
+                                std::uint64_t capacity) {
+    if (capacity >= kMaxHitCapacity) {
+      throw std::invalid_argument("pipeline: frame too large for the hit encoding");
+    }
+    if (config.interleaver != "two-stage" && side == config.rs_n) {
+      return WordLayout::row_aligned(config.rs_n, config.rs_k);
+    }
+    if (capacity < config.rs_n) {
+      throw std::invalid_argument("pipeline: side too small for one RS code word");
+    }
+    return WordLayout::packed(capacity, config.rs_n);
+  }
 };
 
 /// Per-run workspace: every buffer the frame loop touches, allocated once
 /// and reused across frames (zero steady-state allocations per frame).
-///
-/// The materialized (row-aligned) path uses stream/tx/rx sized to the
-/// triangle capacity. The streaming path never allocates
-/// capacity-proportional buffers: it uses the chunk buffer plus the
-/// sparse per-frame error list. Both share the code-word buffers and the
-/// decoder scratch.
-///
-/// Row-aligned framing: row i of a triangular block carries one shortened
-/// RS(n, k) code word when its length n - i exceeds the parity, i.e.
-/// exactly for i < side - parity; the trailing `parity` rows are zero
-/// padding. The payload of row i occupies word symbols [i, k) and the
-/// transmitted row is word symbols [i, n), so the payloads are stored
-/// back to back in `data` and located implicitly by accumulating k - i.
+/// Nothing is proportional to the frame capacity: one code word, the
+/// sparse per-frame hit list and the decoder scratch.
 struct FrameWorkspace {
-  std::vector<std::uint8_t> stream;  ///< packed triangle, write order
-  std::vector<std::uint8_t> tx;      ///< interleaved stream on the wire
-  std::vector<std::uint8_t> rx;      ///< deinterleaved received stream
-  std::vector<std::uint8_t> word;    ///< one RS code word (n symbols)
-  std::vector<std::uint8_t> data;    ///< concatenated per-row payloads
-  std::vector<ErrorHit> hits;        ///< streaming: per-frame corruption
+  std::vector<std::uint8_t> word;  ///< one RS code word (n symbols)
+  std::vector<Hit> hits;           ///< per-frame corruption, input order
   fec::RsScratch rs_scratch;
 
-  static FrameWorkspace materialized(std::uint64_t side, unsigned n,
-                                     bool interleaved) {
-    FrameWorkspace ws;
-    const std::uint64_t cap = triangular_number(side);
-    ws.stream.assign(cap, 0);
-    if (interleaved) {
-      ws.tx.resize(cap);
-      ws.rx.resize(cap);
-    }
-    ws.word.resize(n);
-    ws.data.reserve(cap);
-    ws.rs_scratch.reserve(n);
-    return ws;
-  }
-
-  static FrameWorkspace streaming(unsigned n, unsigned k) {
-    FrameWorkspace ws;
-    ws.word.resize(n);
-    ws.data.resize(k);
-    ws.rs_scratch.reserve(n);
-    // Headroom for the per-frame corruption list so a noisier-than-frame-0
-    // frame does not count a reallocation against the steady state. (The
-    // wire-chunk scan buffer lives inside the source now — see
-    // ChannelSource::scratch_bytes, charged into workspace_peak_bytes.)
-    ws.hits.reserve(4096);
-    return ws;
+  explicit FrameWorkspace(unsigned n) : word(n) {
+    rs_scratch.reserve(n);
+    hits.reserve(kMinHitReserve);
   }
 
   /// Bytes currently held across all buffers (capacities, so reserve
-  /// growth is charged) — the instrumented counter the streaming memory
-  /// test bounds against the chunk size.
+  /// growth is charged) — the instrumented counter the paper-scale
+  /// memory test bounds against the chunk size.
   std::uint64_t allocated_bytes() const {
     const auto scratch_bytes = [](const fec::RsScratch& s) {
       return s.synd.capacity() + s.sigma.capacity() + s.prev.capacity() +
              s.tmp.capacity() + s.omega.capacity() + s.deriv.capacity() +
              s.positions.capacity() * sizeof(unsigned);
     };
-    return stream.capacity() + tx.capacity() + rx.capacity() + word.capacity() +
-           data.capacity() + hits.capacity() * sizeof(ErrorHit) +
+    return word.capacity() + hits.capacity() * sizeof(Hit) +
            scratch_bytes(rs_scratch);
   }
 };
 
-void make_frame(const fec::ReedSolomon& rs, std::uint64_t side, Rng& rng,
-                FrameWorkspace& ws) {
-  const unsigned parity = rs.parity();
-  const unsigned k = rs.k();
-  const unsigned n = rs.n();
-  ws.data.clear();
-  std::uint8_t* word = ws.word.data();
-  std::uint64_t pos = 0;
-  for (std::uint64_t i = 0; i < side; ++i) {
-    const std::uint64_t len = tri_row_length(side, i);
-    if (len <= parity) break;  // the remaining rows are all padding
-    // Build the full data word in place: i leading zeros, then the
-    // payload; encode() appends the parity behind the aliased data.
-    std::fill(word, word + i, 0);
-    for (std::uint64_t d = i; d < k; ++d) {
-      word[d] = static_cast<std::uint8_t>(rng.next_u64());
-    }
-    ws.data.insert(ws.data.end(), word + i, word + k);
-    rs.encode(std::span<const std::uint8_t>(word, k),
-              std::span<std::uint8_t>(word, n));
-    std::copy(word + i, word + n, ws.stream.begin() + static_cast<long>(pos));
-    pos += len;
-  }
-  // Trailing padding rows: rewrite the zeros a previous frame's channel
-  // pass may have corrupted.
-  std::fill(ws.stream.begin() + static_cast<long>(pos), ws.stream.end(), 0);
-}
-
-void decode_frame(const fec::ReedSolomon& rs, std::uint64_t side,
-                  const std::vector<std::uint8_t>& rx, FrameWorkspace& ws,
-                  PipelineResult& result) {
-  const unsigned parity = rs.parity();
+/// Decode one frame from its sorted hit list (ws.hits) in the error
+/// domain: each touched word is the all-zero code word plus its hits
+/// (decode_error_word). Words with no hits decode trivially and are only
+/// counted.
+void decode_error_frame(const fec::ReedSolomon& rs, const WordLayout& layout,
+                        FrameWorkspace& ws, PipelineResult& result) {
   const unsigned n = rs.n();
   std::uint8_t* word = ws.word.data();
-  std::uint64_t failures = 0;
-  std::uint64_t pos = 0;
-  std::uint64_t data_pos = 0;
-  for (std::uint64_t i = 0; i < side; ++i) {
-    const std::uint64_t len = tri_row_length(side, i);
-    if (len > parity) {
-      std::fill(word, word + i, 0);
-      std::copy(rx.begin() + static_cast<long>(pos),
-                rx.begin() + static_cast<long>(pos + len), word + i);
-      const auto res =
-          rs.decode(std::span<std::uint8_t>(word, n), ws.rs_scratch);
-      const std::uint64_t dlen = len - parity;
-      const bool data_ok =
-          res.ok && std::equal(ws.data.begin() + static_cast<long>(data_pos),
-                               ws.data.begin() + static_cast<long>(data_pos + dlen),
-                               word + i);
-      data_pos += dlen;
-      ++result.code_words;
-      if (data_ok) {
-        result.corrected_symbols += res.corrected_symbols;
-      } else {
-        ++failures;
-      }
-    }
-    pos += len;
-  }
-  result.word_errors += failures;
-  result.frame_errors += failures != 0;
-}
-
-/// Legacy row-aligned path: side == rs_n, frames materialized and
-/// permuted buffer-to-buffer.
-void run_frames_materialized(const PipelineConfig& config,
-                             const fec::ReedSolomon& rs,
-                             const StreamInterleaver& il, std::uint64_t side,
-                             source::ErrorSource* src, PipelineResult& result) {
-  // The data stream is decoupled from the source's channel draws (see
-  // make_source), so two configs that differ only in the interleaver see
-  // the same fade pattern.
-  Rng data_rng(job_seed(config.seed, 0));
-
-  FrameWorkspace ws = FrameWorkspace::materialized(side, config.rs_n, il.active());
-  const std::uint64_t capacity = il.capacity_symbols();
-
-  const std::uint64_t host_start = perf::now_ns();
-  perf::AllocationScope alloc_scope;
-  for (unsigned f = 0; f < config.frames; ++f) {
-    // Frame 0 is the warm-up (data.reserve growth, decoder scratch); the
-    // steady-state window starts after it.
-    if (f == 1) alloc_scope.restart();
-    make_frame(rs, side, data_rng, ws);
-    // The "none" identity runs the channel directly on the packed stream
-    // — no copies at all.
-    std::vector<std::uint8_t>& wire = il.active() ? ws.tx : ws.stream;
-    if (il.active()) il.forward_into(ws.stream, ws.tx);
-    if (src != nullptr) {
-      // The wire position advances contiguously frame to frame, so the
-      // source's channel state stays continuous in symbol time exactly as
-      // the channel did when the pipeline drove it directly.
-      result.channel_symbol_errors +=
-          src->corrupt(static_cast<std::uint64_t>(f) * capacity, wire);
-      result.channel_symbols += wire.size();
-    }
-    const std::vector<std::uint8_t>* rx = &wire;
-    if (il.active()) {
-      il.backward_into(ws.tx, ws.rx);
-      rx = &ws.rx;
-    }
-    decode_frame(rs, side, *rx, ws, result);
-  }
-  result.host_ns = perf::now_ns() - host_start;
-  result.steady_allocations = config.frames > 1 ? alloc_scope.allocations() : 0;
-  result.steady_frames = config.frames - 1;
-  result.workspace_peak_bytes =
-      ws.allocated_bytes() + (src != nullptr ? src->scratch_bytes() : 0);
-}
-
-/// Decode one streaming frame from its sorted per-frame hit list
-/// (ws.hits): words with no hits decode trivially and are only counted,
-/// words with hits are regenerated from their per-word seed, re-encoded,
-/// corrupted and decoded for real. Shared verbatim by run_frames_streaming
-/// and combine_pipeline_slices, which is what keeps sliced runs
-/// byte-identical to unsliced ones.
-void decode_streaming_frame(const fec::ReedSolomon& rs,
-                            std::uint64_t words_per_frame,
-                            std::uint64_t frame_seed, Rng& word_rng,
-                            FrameWorkspace& ws, PipelineResult& result) {
-  const unsigned n = rs.n();
-  const unsigned k = rs.k();
-  std::uint8_t* word = ws.word.data();
-  result.code_words += words_per_frame;
+  const std::vector<Hit>& hits = ws.hits;
+  result.code_words += layout.words();
   std::uint64_t failures = 0;
   std::size_t h = 0;
-  while (h < ws.hits.size()) {
-    const std::uint64_t w = ws.hits[h].input_index / n;
-    std::size_t h_end = h + 1;
-    while (h_end < ws.hits.size() && ws.hits[h_end].input_index / n == w) {
-      ++h_end;
+  while (h < hits.size()) {
+    const std::uint64_t w = layout.word_of(hit_index(hits[h]));
+    if (w >= layout.words()) break;  // the rest are hits in the zero padding
+    const std::uint64_t base = layout.base(w);
+    std::fill(word, word + n, 0);
+    for (; h < hits.size() && hit_index(hits[h]) < base + n; ++h) {
+      word[hit_index(hits[h]) - base] ^= hit_flip(hits[h]);
     }
-    if (w >= words_per_frame) break;  // hits in the zero-padding tail
-
-    // Regenerate the transmitted word from its per-word seed.
-    word_rng.reseed(job_seed(frame_seed, w));
-    for (unsigned d = 0; d < k; ++d) {
-      word[d] = static_cast<std::uint8_t>(word_rng.next_u64());
-    }
-    std::copy(word, word + k, ws.data.begin());
-    rs.encode(std::span<const std::uint8_t>(word, k),
-              std::span<std::uint8_t>(word, n));
-    for (std::size_t i = h; i < h_end; ++i) {
-      word[ws.hits[i].input_index - w * n] ^= ws.hits[i].flip;
-    }
-    const auto res = rs.decode(std::span<std::uint8_t>(word, n), ws.rs_scratch);
-    const bool data_ok =
-        res.ok && std::equal(ws.data.begin(), ws.data.end(), word);
-    if (data_ok) {
-      result.corrected_symbols += res.corrected_symbols;
+    const WordOutcome out = decode_error_word(
+        rs, std::span<std::uint8_t>(word, n), layout.lead(w), ws.rs_scratch);
+    if (out.data_ok) {
+      result.corrected_symbols += out.corrected_symbols;
     } else {
       ++failures;
     }
-    h = h_end;
   }
   result.word_errors += failures;
   result.frame_errors += failures != 0;
 }
 
-/// Streaming path: frame size decoupled from the code word, bounded
-/// memory. Full RS(n, k) words are packed back to back into the
-/// interleaver capacity (a sub-word tail stays zero padding).
-///
-/// The trick that avoids materializing the frame: corruption is sparse
-/// and data-independent, so the source yields the exact (position, flip)
-/// event stream of the real transmission without the frame ever
-/// existing. Each event is mapped back to its input position through the
-/// interleaver's O(1) inverse; words with no hits decode trivially and
-/// are only counted, words with hits are regenerated from their per-word
-/// seed, re-encoded, corrupted and decoded for real.
-void run_frames_streaming(const PipelineConfig& config, const fec::ReedSolomon& rs,
-                          const StreamInterleaver& il, source::ErrorSource* src,
-                          PipelineResult& result) {
-  const unsigned n = rs.n();
-  const unsigned k = rs.k();
-  const std::uint64_t capacity = il.capacity_symbols();
-  const std::uint64_t words_per_frame = capacity / n;
-
-  const std::uint64_t data_root = job_seed(config.seed, 0);
-  Rng word_rng;
-
-  FrameWorkspace ws = FrameWorkspace::streaming(n, k);
-
+/// The frame loop shared by run_pipeline and combine_pipeline_slices:
+/// \p load_hits(f, hits) appends frame f's hits in any order, the loop
+/// sorts them and decodes. Returns the workspace's final byte count.
+template <typename LoadHits>
+std::uint64_t run_frames(const PipelineConfig& config, const fec::ReedSolomon& rs,
+                         const WordLayout& layout, LoadHits&& load_hits,
+                         PipelineResult& result) {
+  FrameWorkspace ws(rs.n());
   const std::uint64_t host_start = perf::now_ns();
   perf::AllocationScope alloc_scope;
   for (unsigned f = 0; f < config.frames; ++f) {
-    // Frame 0 is the warm-up (chunk/hits growth, decoder scratch); the
-    // steady-state window starts after it.
-    if (f == 1) alloc_scope.restart();
-    // --- source pass, wire order -------------------------------------------
-    ws.hits.clear();
-    if (src != nullptr) {
-      result.channel_symbols += capacity;
-      const std::uint64_t frame_base = static_cast<std::uint64_t>(f) * capacity;
-      auto to_hit = [&ws, &il, frame_base](const source::Corruption& e) {
-        ws.hits.push_back({il.wire_to_input(e.wire_pos - frame_base), e.flip});
-      };
-      result.channel_symbol_errors += src->events(frame_base, capacity, to_hit);
-      // A composite source interleaves its links' event streams, so sort
-      // unconditionally; the input indices are a permutation of distinct
-      // wire positions and never tie.
-      std::sort(ws.hits.begin(), ws.hits.end(),
-                [](const ErrorHit& a, const ErrorHit& b) {
-                  return a.input_index < b.input_index;
-                });
+    if (f == 1) {
+      // Frame 0 is the warm-up (hit-list growth, decoder scratch). Size
+      // the hit list from its event count before the steady-state window
+      // starts.
+      ws.hits.reserve(std::max(kMinHitReserve, kHitHeadroom * ws.hits.size()));
+      alloc_scope.restart();
     }
-
-    // --- decode: only words the channel actually touched do work -----------
-    decode_streaming_frame(rs, words_per_frame, job_seed(data_root, f), word_rng,
-                           ws, result);
+    ws.hits.clear();
+    load_hits(f, ws.hits);
+    // The input indices are a permutation of distinct wire positions, so
+    // plain integer order is input order and the sort is unique.
+    std::sort(ws.hits.begin(), ws.hits.end());
+    decode_error_frame(rs, layout, ws, result);
   }
-  result.host_ns = perf::now_ns() - host_start;
+  result.host_ns += perf::now_ns() - host_start;
   result.steady_allocations = config.frames > 1 ? alloc_scope.allocations() : 0;
   result.steady_frames = config.frames - 1;
-  result.workspace_peak_bytes =
-      ws.allocated_bytes() + (src != nullptr ? src->scratch_bytes() : 0);
+  return ws.allocated_bytes();
 }
 
 /// DRAM stage shared by run_pipeline and combine_pipeline_slices: honored
@@ -422,6 +304,17 @@ void run_dram_phase(const PipelineConfig& config, std::uint64_t side,
 }
 
 }  // namespace
+
+WordOutcome decode_error_word(const fec::ReedSolomon& rs, std::span<std::uint8_t> error,
+                              unsigned lead, fec::RsScratch& scratch) {
+  const auto res = rs.decode(error, scratch);
+  WordOutcome out;
+  out.decoded = res.ok;
+  out.data_ok = res.ok && std::all_of(error.begin() + lead, error.begin() + rs.k(),
+                                      [](std::uint8_t s) { return s == 0; });
+  out.corrected_symbols = res.corrected_symbols;
+  return out;
+}
 
 bool dram_resident_interleaver(const std::string& kind) {
   return kind == "triangular" || kind == "two-stage";
@@ -545,28 +438,33 @@ PipelineResult run_pipeline(const PipelineConfig& config,
     throw std::invalid_argument("pipeline: frames must be > 0");
   }
 
-  const std::uint64_t side = config.side != 0 ? config.side : config.rs_n;
-  const StreamInterleaver il(config.interleaver, side, config.symbols_per_burst);
+  const FrameGeometry geo(config);
   const auto src = make_source(config);
+  const std::uint64_t capacity = geo.il.capacity_symbols();
 
   PipelineResult result;
   result.frames = config.frames;
-  result.frame_symbols = il.capacity_symbols();
+  result.frame_symbols = capacity;
 
-  // Two-stage frames are always streamed (the stage-2 triangle is
-  // burst-granular, there is no row-aligned layout for it); the classic
-  // kinds stream exactly when the side is decoupled from the code word.
-  if (config.interleaver == "two-stage" || side != config.rs_n) {
-    if (il.capacity_symbols() < config.rs_n) {
-      throw std::invalid_argument(
-          "pipeline: side too small for one RS code word");
-    }
-    run_frames_streaming(config, rs, il, src.get(), result);
-  } else {
-    run_frames_materialized(config, rs, il, side, src.get(), result);
-  }
+  // Source pass in wire order. The source yields the exact (position,
+  // flip) events of the real transmission without the frame ever
+  // existing; each maps back to its input position through the
+  // interleaver's O(1) inverse. The wire position advances contiguously
+  // frame to frame, so the channel state stays continuous in symbol time.
+  const auto load_hits = [&](unsigned f, std::vector<Hit>& hits) {
+    if (src == nullptr) return;
+    result.channel_symbols += capacity;
+    const std::uint64_t frame_base = static_cast<std::uint64_t>(f) * capacity;
+    auto to_hit = [&hits, &geo, frame_base](const source::Corruption& e) {
+      hits.push_back(make_hit(geo.il.wire_to_input(e.wire_pos - frame_base), e.flip));
+    };
+    result.channel_symbol_errors += src->events(frame_base, capacity, to_hit);
+  };
+  result.workspace_peak_bytes =
+      run_frames(config, rs, geo.layout, load_hits, result) +
+      (src != nullptr ? src->scratch_bytes() : 0);
 
-  run_dram_phase(config, side, result);
+  run_dram_phase(config, geo.side, result);
   return result;
 }
 
@@ -577,11 +475,6 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
   }
   const fec::ReedSolomon rs(config.rs_n, config.rs_k);
   return run_pipeline(config, rs);
-}
-
-bool pipeline_streams(const PipelineConfig& config) {
-  const std::uint64_t side = config.side != 0 ? config.side : config.rs_n;
-  return config.interleaver == "two-stage" || side != config.rs_n;
 }
 
 std::pair<std::uint64_t, std::uint64_t> stream_slice_range(std::uint64_t capacity,
@@ -601,38 +494,29 @@ PipelineSliceResult run_pipeline_slice(const PipelineConfig& config, unsigned sl
   if (config.frames == 0) {
     throw std::invalid_argument("pipeline: frames must be > 0");
   }
-  if (!pipeline_streams(config)) {
-    throw std::invalid_argument(
-        "run_pipeline_slice: intra-frame slicing requires the streaming "
-        "frame path (side != rs_n or the two-stage interleaver)");
-  }
   if (!config.trace_record.empty() && num_slices > 1) {
     throw std::invalid_argument(
         "run_pipeline_slice: trace_record would capture a partial trace — "
         "record with an unsliced run");
   }
-  const std::uint64_t side = config.side != 0 ? config.side : config.rs_n;
-  const StreamInterleaver il(config.interleaver, side, config.symbols_per_burst);
-  if (il.capacity_symbols() < config.rs_n) {
-    throw std::invalid_argument("pipeline: side too small for one RS code word");
-  }
+  const FrameGeometry geo(config);
   const auto src = make_source(config);
-  const std::uint64_t capacity = il.capacity_symbols();
+  const std::uint64_t capacity = geo.il.capacity_symbols();
   const auto [lo, hi] = stream_slice_range(capacity, slice, num_slices);
 
   PipelineSliceResult out;
   out.slice = slice;
   out.num_slices = num_slices;
   out.frames = config.frames;
-  out.hits.reserve(4096);
+  out.hits.reserve(kMinHitReserve);
 
   const std::uint64_t host_start = perf::now_ns();
   for (unsigned f = 0; f < config.frames; ++f) {
     if (src == nullptr) continue;
     out.channel_symbols += hi - lo;
     const std::uint64_t frame_base = static_cast<std::uint64_t>(f) * capacity;
-    auto to_hit = [&out, &il, frame_base, f](const source::Corruption& e) {
-      out.hits.push_back({f, il.wire_to_input(e.wire_pos - frame_base), e.flip});
+    auto to_hit = [&out, &geo, frame_base, f](const source::Corruption& e) {
+      out.hits.push_back({f, geo.il.wire_to_input(e.wire_pos - frame_base), e.flip});
     };
     // The random-access events contract (counter-based skip-ahead) makes
     // the jump from one frame's [lo, hi) to the next exact: the stream
@@ -667,22 +551,11 @@ PipelineResult combine_pipeline_slices(const PipelineConfig& config,
           "(need one result per slice index)");
     }
   }
-  if (!pipeline_streams(config)) {
-    throw std::invalid_argument(
-        "combine_pipeline_slices: config is not on the streaming path");
-  }
 
-  const std::uint64_t side = config.side != 0 ? config.side : config.rs_n;
-  const StreamInterleaver il(config.interleaver, side, config.symbols_per_burst);
-  const unsigned n = rs.n();
-  const std::uint64_t capacity = il.capacity_symbols();
-  const std::uint64_t words_per_frame = capacity / n;
-  const std::uint64_t data_root = job_seed(config.seed, 0);
-  Rng word_rng;
-
+  const FrameGeometry geo(config);
   PipelineResult result;
   result.frames = config.frames;
-  result.frame_symbols = capacity;
+  result.frame_symbols = geo.il.capacity_symbols();
   for (const auto& s : slices) {
     result.channel_symbols += s.channel_symbols;
     result.channel_symbol_errors += s.channel_symbol_errors;
@@ -691,41 +564,23 @@ PipelineResult combine_pipeline_slices(const PipelineConfig& config,
         std::max(result.workspace_peak_bytes, s.workspace_peak_bytes);
   }
 
-  FrameWorkspace ws = FrameWorkspace::streaming(n, rs.k());
+  // Concatenating the slices' per-frame events in slice order; the frame
+  // loop's sort then restores exactly the list the unsliced source pass
+  // builds.
   std::vector<std::size_t> cursor(slices.size(), 0);
-
-  const std::uint64_t host_start = perf::now_ns();
-  perf::AllocationScope alloc_scope;
-  for (unsigned f = 0; f < config.frames; ++f) {
-    if (f == 1) alloc_scope.restart();
-    // Concatenating the slices' per-frame events in slice order and
-    // sorting by input position reproduces exactly the list the unsliced
-    // source pass builds: the indices are a permutation of distinct wire
-    // positions, so the sort order is unique.
-    ws.hits.clear();
+  const auto load_hits = [&](unsigned f, std::vector<Hit>& hits) {
     for (std::size_t s = 0; s < slices.size(); ++s) {
       const auto& sh = slices[s].hits;
       std::size_t& c = cursor[s];
-      while (c < sh.size() && sh[c].frame == f) {
-        ws.hits.push_back({sh[c].input_index, sh[c].flip});
-        ++c;
+      for (; c < sh.size() && sh[c].frame == f; ++c) {
+        hits.push_back(make_hit(sh[c].input_index, sh[c].flip));
       }
     }
-    std::sort(ws.hits.begin(), ws.hits.end(),
-              [](const ErrorHit& a, const ErrorHit& b) {
-                return a.input_index < b.input_index;
-              });
-    decode_streaming_frame(rs, words_per_frame, job_seed(data_root, f), word_rng,
-                           ws, result);
-  }
-  result.host_ns += perf::now_ns() - host_start;
-  result.steady_allocations =
-      config.frames > 1 ? alloc_scope.allocations() : 0;
-  result.steady_frames = config.frames - 1;
-  result.workspace_peak_bytes =
-      std::max(result.workspace_peak_bytes, ws.allocated_bytes());
+  };
+  result.workspace_peak_bytes = std::max(
+      result.workspace_peak_bytes, run_frames(config, rs, geo.layout, load_hits, result));
 
-  run_dram_phase(config, side, result);
+  run_dram_phase(config, geo.side, result);
   return result;
 }
 

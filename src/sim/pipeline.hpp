@@ -6,27 +6,32 @@
 /// run yields both the coding gain of the interleaver *and* the memory
 /// bandwidth it needs.
 ///
-/// Two frame layouts share the entry points:
+/// One frame path, two word layouts. The frame is never materialized:
+/// every Channel corrupts symbols with data-independent draws
+/// (guaranteed non-zero XOR flips), so the source yields the sparse
+/// corruption events of a frame straight from the wire order in bounded
+/// chunks, and each event maps back to its input position through the
+/// interleaver's O(1) inverse permutation. RS is linear and its decoder
+/// works from syndromes alone, so each touched word is decoded as the
+/// all-zero code word plus its hits — no data is generated or encoded
+/// (DESIGN.md §5). The word layout maps an input position to its word:
 ///
-/// * **Row-aligned** (side == rs_n, the legacy geometry): one shortened
+/// * **Row-aligned** (side == rs_n, not "two-stage"): one shortened
 ///   RS(n, k) code word per triangle row (row i carries word symbols
-///   i..n-1, the leading i zeros are implicit). Frames are materialized
-///   and permuted buffer-to-buffer.
-/// * **Streaming** (side != rs_n, or the "two-stage" interleaver): frame
+///   i..n-1, the leading i zeros are implicit; only symbols [i, k) are
+///   data).
+/// * **Packed** (side != rs_n, or the "two-stage" interleaver): frame
 ///   size is decoupled from the code word — full RS(n, k) words are
-///   packed back to back into the interleaver's symbol capacity, and the
-///   frame is never materialized. The channel walks the wire order in
-///   bounded chunks; because every Channel corrupts symbols with
-///   data-independent draws (guaranteed non-zero XOR flips), the sparse
-///   corruption events are recovered from a zeroed chunk buffer and
-///   mapped back to code-word positions through the interleaver's O(1)
-///   inverse permutation. Peak memory is bounded by the chunk size plus
-///   the per-frame error count — never by the triangle capacity — which
-///   is what makes the paper's 12.5 M-symbol frames simulable.
+///   packed back to back into the interleaver's symbol capacity.
+///
+/// Peak memory is bounded by the chunk size plus the per-frame error
+/// count — never by the triangle capacity — which is what makes the
+/// paper's 12.5 M-symbol frames simulable.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,15 +59,15 @@ struct PipelineConfig {
   /// geometry). For "none"/"block"/"triangular" the side counts *symbols*
   /// (frame = side*(side+1)/2 symbols); for "two-stage" it counts the
   /// stage-2 *bursts* (frame = side*(side+1)/2 * symbols_per_burst
-  /// symbols). Any side != rs_n selects the streaming frame path.
+  /// symbols). Any side != rs_n selects the packed word layout.
   std::uint64_t side = 0;
   /// Symbols packed into one DRAM burst ("two-stage" only): the stage-1
   /// SRAM block interleaver is symbols_per_burst x symbols_per_burst.
   /// The default matches a 64-byte DRAM burst of byte symbols; the
   /// paper's 3-bit-symbol geometry corresponds to 170.
   std::uint64_t symbols_per_burst = 64;
-  /// Streaming path: wire symbols processed per channel chunk (bounds the
-  /// peak allocation; 0 = the 65536 default).
+  /// Wire symbols the channel source scans per chunk (bounds the peak
+  /// allocation; 0 = the 65536 default).
   std::uint64_t stream_chunk_symbols = 65536;
 
   // --- channel knobs -------------------------------------------------------
@@ -109,13 +114,14 @@ struct PipelineResult {
   std::uint64_t corrected_symbols = 0;      ///< RS corrections on good decodes
   std::uint64_t frame_symbols = 0;          ///< interleaver symbol capacity per frame
   /// Peak bytes held by the reusable frame workspace over the whole run
-  /// (all buffer capacities, including the decoder scratch and the
-  /// streaming error list). The streaming-path memory test asserts this
-  /// stays bounded by the chunk size, not the triangle capacity.
+  /// (all buffer capacities, including the decoder scratch, the per-frame
+  /// hit list and the source's chunk). The paper-scale memory test
+  /// asserts this stays bounded by the chunk size, not the triangle
+  /// capacity.
   std::uint64_t workspace_peak_bytes = 0;
 
   // --- in-process perf counters (src/perf/counters.hpp) --------------------
-  /// Host wall time of the frame loop (encode + channel + decode), ns.
+  /// Host wall time of the frame loop (channel + sort + decode), ns.
   std::uint64_t host_ns = 0;
   /// operator-new allocations on this thread after the warm-up frame —
   /// the workspace-reuse invariant says this is 0 for the FER hot path.
@@ -151,6 +157,23 @@ struct PipelineResult {
   InterleaverRun dram;
   double dram_throughput_gbps = 0;
 };
+
+/// Outcome of decoding one received code word.
+struct WordOutcome {
+  bool decoded = false;            ///< the decoder returned a code word
+  bool data_ok = false;            ///< ... and its data symbols are the ones sent
+  unsigned corrected_symbols = 0;  ///< symbols the decoder corrected
+};
+
+/// Decode one word in the error domain: \p error holds the word's channel
+/// flips (n symbols, zero where nothing was hit) and is decoded in place.
+/// RS is linear and the decoder works from syndromes alone, so the
+/// outcome, miscorrections included (decoded && !data_ok), equals that of
+/// decoding any code word plus \p error. The data symbols [lead, k)
+/// survived iff they decode back to zero; the \p lead implicit leading
+/// zeros of a shortened word are not checked.
+WordOutcome decode_error_word(const fec::ReedSolomon& rs, std::span<std::uint8_t> error,
+                              unsigned lead, fec::RsScratch& scratch);
 
 /// Channel factory for the pipeline's channel axis ("none" -> nullptr).
 /// Symbols are RS code-word bytes, so all channels run with 8 symbol bits.
@@ -188,20 +211,21 @@ PipelineResult run_pipeline(const PipelineConfig& config);
 PipelineResult run_pipeline(const PipelineConfig& config, const fec::ReedSolomon& rs);
 
 // ---------------------------------------------------------------------------
-// Intra-frame slicing (streaming path only)
+// Intra-frame slicing
 //
-// A paper-scale streaming frame is dominated by the channel walk over the
-// wire order, and the random-access ErrorSource contract (counter-based
-// skip-ahead, PR 8) makes any contiguous wire range independently
-// computable. run_pipeline_slice therefore runs ONLY the source pass of
-// every frame over one of num_slices contiguous wire ranges and returns
-// the sparse corruption events already mapped to input positions;
+// A paper-scale frame is dominated by the channel walk over the wire
+// order, and the random-access ErrorSource contract (counter-based
+// skip-ahead) makes any contiguous wire range independently computable.
+// run_pipeline_slice therefore runs ONLY the source pass of every frame
+// over one of num_slices contiguous wire ranges and returns the sparse
+// corruption events already mapped to input positions;
 // combine_pipeline_slices merges the slices' events per frame (sorting
 // restores the exact order the unsliced path produces), runs the shared
 // decode loop and the deterministic DRAM phase, and yields a
 // PipelineResult whose every field except workspace_peak_bytes and
-// host_ns is byte-identical to run_pipeline on the same config. The
-// dsweep "fer" kernel uses this to spread one frame across sweep workers.
+// host_ns is byte-identical to run_pipeline on the same config. Both word
+// layouts slice. The dsweep "fer" kernel uses this to spread one frame
+// across sweep workers.
 // ---------------------------------------------------------------------------
 
 /// One corruption event from a slice, mapped to the input (code-word
@@ -228,11 +252,6 @@ struct PipelineSliceResult {
   std::vector<StreamHit> hits;
 };
 
-/// True when \p config takes the streaming frame path (side decoupled
-/// from rs_n, or the "two-stage" interleaver) — the precondition for
-/// run_pipeline_slice.
-bool pipeline_streams(const PipelineConfig& config);
-
 /// The contiguous wire range [lo, hi) slice \p slice of \p num_slices
 /// covers in a capacity-symbol frame. Ranges partition [0, capacity) and
 /// differ in size by at most one symbol.
@@ -241,9 +260,8 @@ std::pair<std::uint64_t, std::uint64_t> stream_slice_range(std::uint64_t capacit
                                                            unsigned num_slices);
 
 /// Run the source pass of every frame over this slice's wire range.
-/// Throws std::invalid_argument when the config is not on the streaming
-/// path, when slice >= num_slices, or when trace_record is set (a slice
-/// would record a partial trace).
+/// Throws std::invalid_argument when slice >= num_slices, or when
+/// trace_record is set (a slice would record a partial trace).
 PipelineSliceResult run_pipeline_slice(const PipelineConfig& config, unsigned slice,
                                        unsigned num_slices);
 
@@ -269,12 +287,11 @@ struct FerSweepOptions {
   /// and run_dram is narrowed to the cells whose interleaver is
   /// DRAM-resident.
   PipelineConfig base;
-  /// Distributed backend (run_fer_sweep_dist): split every streaming
-  /// cell's frames into this many intra-frame channel slices, each its
-  /// own dsweep cell, merged by combine_pipeline_slices. 1 = classic
-  /// one-cell-per-scenario sweeps (job config byte-identical to pre-slice
-  /// drivers). Cells on the materialized path ignore the split (slice 0
-  /// computes the whole cell). The in-process run_fer_sweep ignores this.
+  /// Distributed backend (run_fer_sweep_dist): split every cell's frames
+  /// into this many intra-frame channel slices, each its own dsweep cell,
+  /// merged by combine_pipeline_slices. 1 = classic one-cell-per-scenario
+  /// sweeps (job config byte-identical to pre-slice drivers). The
+  /// in-process run_fer_sweep ignores this.
   unsigned frame_slices = 1;
 };
 

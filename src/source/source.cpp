@@ -62,12 +62,6 @@ std::uint64_t ChannelSource::events(std::uint64_t start, std::uint64_t span,
   return count;
 }
 
-std::uint64_t ChannelSource::corrupt(std::uint64_t start,
-                                     std::span<std::uint8_t> wire) {
-  rewind_if_behind(start);
-  return channel_->apply_range(start, wire, rng_);
-}
-
 const char* ChannelSource::name() const { return channel_->name(); }
 
 MultiLinkSource::MultiLinkSource(std::vector<Link> links)

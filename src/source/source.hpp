@@ -10,8 +10,8 @@
 /// pipeline consumes events without caring whether they came from a
 /// channel model, a trace file, or N interleaved links (DESIGN.md §6).
 ///
-/// The contract leans on the same property the streaming pipeline
-/// already exploits: every channel's corruption is data-independent
+/// The contract leans on the same property the pipeline's frame loop
+/// exploits: every channel's corruption is data-independent
 /// (guaranteed non-zero XOR flips drawn independently of symbol
 /// values), so running a channel over a zeroed scratch buffer recovers
 /// the exact (position, flip) events it would have applied in place.
@@ -72,7 +72,7 @@ class EventSink {
 /// which is deterministic but costs the skipped draws. Events within one
 /// call arrive in increasing wire_pos per underlying stream, but a
 /// composite source may interleave streams, so consumers that need a
-/// global order must sort (the streaming pipeline sorts by input index
+/// global order must sort (the pipeline sorts by input index
 /// anyway).
 class ErrorSource {
  public:
@@ -83,10 +83,10 @@ class ErrorSource {
   virtual std::uint64_t events(std::uint64_t start, std::uint64_t span,
                                EventSink sink) = 0;
 
-  /// Corrupt \p wire in place as the range [start, start + wire.size()).
-  /// The default XORs the events() stream into the buffer; sources that
-  /// can write it directly (ChannelSource) override this as a fast path.
-  virtual std::uint64_t corrupt(std::uint64_t start, std::span<std::uint8_t> wire);
+  /// Corrupt \p wire in place as the range [start, start + wire.size())
+  /// by XORing the events() stream into the buffer. The pipeline never
+  /// materializes a frame; this is for tests and tools.
+  std::uint64_t corrupt(std::uint64_t start, std::span<std::uint8_t> wire);
 
   /// Convenience for tests and tools: append the range's events to \p out.
   std::uint64_t collect(std::uint64_t start, std::uint64_t span,
@@ -117,10 +117,6 @@ class ChannelSource final : public ErrorSource {
 
   std::uint64_t events(std::uint64_t start, std::uint64_t span,
                        EventSink sink) override;
-
-  /// Direct in-place fast path: byte-identical to the pre-source
-  /// pipeline calling Channel::apply on the wire buffer.
-  std::uint64_t corrupt(std::uint64_t start, std::span<std::uint8_t> wire) override;
 
   const char* name() const override;
 

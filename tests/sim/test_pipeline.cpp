@@ -6,10 +6,17 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <span>
 #include <stdexcept>
 
+#include "common/mathutil.hpp"
+#include "common/rng.hpp"
 #include "fec/gf256_simd.hpp"
 #include "fec/reed_solomon.hpp"
+#include "interleaver/block.hpp"
+#include "interleaver/triangular.hpp"
+#include "interleaver/twostage.hpp"
 #include "source/trace.hpp"
 
 namespace tbi::sim {
@@ -54,8 +61,8 @@ TEST(Pipeline, CleanChannelHasZeroErrors) {
 
 TEST(Pipeline, SteadyStateFrameLoopAllocatesNothing) {
   // The workspace-reuse invariant behind every bench record's
-  // allocations_per_frame == 0: after the warm-up frame, neither the
-  // materialized nor the streaming frame path touches the allocator.
+  // allocations_per_frame == 0: after the warm-up frame, the frame loop
+  // never touches the allocator, in either word layout.
   for (const char* il : {"none", "block", "triangular"}) {
     auto c = burst_config(il, 3);
     const auto r = run_pipeline(c);
@@ -68,7 +75,7 @@ TEST(Pipeline, SteadyStateFrameLoopAllocatesNothing) {
         << il;
     EXPECT_GT(r.channel_symbols_per_second(), 0.0) << il;
   }
-  // Streaming path (side decoupled from the code word), all channels.
+  // Packed layout (side decoupled from the code word), all channels.
   for (const char* channel : {"bsc", "gilbert-elliott", "leo"}) {
     auto c = burst_config("triangular", 3);
     c.channel = channel;
@@ -79,6 +86,20 @@ TEST(Pipeline, SteadyStateFrameLoopAllocatesNothing) {
     EXPECT_EQ(r.allocations_per_frame(), 0.0) << channel;
     EXPECT_EQ(r.channel_symbols, static_cast<std::uint64_t>(c.frames) * r.frame_symbols)
         << channel;
+  }
+  // The perfbench fer-fade geometry: ~8,000 events per 2,088,960-symbol
+  // frame, with later frames up to ~3x the warm-up frame. A fixed
+  // 4096-hit reservation reallocated here on both channels at seed 1.
+  for (const char* channel : {"gilbert-elliott", "leo"}) {
+    auto c = burst_config("two-stage", 1);
+    c.channel = channel;
+    c.side = 255;
+    c.symbols_per_burst = 64;
+    c.frames = 4;
+    const auto r = run_pipeline(c);
+    EXPECT_GT(r.channel_symbol_errors, 4u * 4096u) << channel;
+    EXPECT_EQ(r.steady_allocations, 0u) << channel;
+    EXPECT_EQ(r.allocations_per_frame(), 0.0) << channel;
   }
   // A channel-free run pushes nothing through the channel counter.
   PipelineConfig clean;
@@ -262,16 +283,16 @@ TEST(Pipeline, CodeRateAxisChangesCorrectionPower) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming frame path (side decoupled from rs_n, "two-stage")
+// Packed word layout (side decoupled from rs_n, "two-stage")
 // ---------------------------------------------------------------------------
 
 TEST(PipelineStreaming, CleanChannelEveryKind) {
-  // Streaming frames pack full RS words back to back; a clean channel
+  // Packed frames hold full RS words back to back; a clean channel
   // must decode every one of them without touching the error machinery.
   for (const char* il : {"none", "block", "triangular", "two-stage"}) {
     PipelineConfig c;
     c.interleaver = il;
-    c.side = 40;  // != rs_n -> streaming for every kind
+    c.side = 40;  // != rs_n -> packed for every kind
     c.symbols_per_burst = 8;
     c.channel = "none";
     c.frames = 3;
@@ -370,8 +391,8 @@ TEST(PipelineStreaming, PaperScaleTwoStageBoundedMemory) {
   EXPECT_LE(r.corrected_symbols, r.channel_symbol_errors);
   EXPECT_LE(r.channel_symbol_errors - r.corrected_symbols, 210u);
 
-  // Peak allocation: one chunk buffer + the sorted error list (16 B per
-  // hit, 4096-entry up-front headroom, vector growth <= 2x) + small
+  // Peak allocation: one chunk buffer + the sorted error list (8 B per
+  // hit, 4096-entry up-front reservation, vector growth <= 2x) + small
   // constant scratch. A materialized frame would need >= 3 capacity-sized
   // buffers.
   const std::uint64_t chunk_bytes = c.stream_chunk_symbols;
@@ -463,7 +484,7 @@ TEST(FerSweep, DeterministicAcrossThreadCounts) {
   FerSweepOptions o;
   o.base.frames = 2;
   o.base.run_dram = false;
-  o.base.side = 64;  // streaming path for every cell, small frames
+  o.base.side = 64;  // packed layout for every cell, small frames
   o.base.fade_fraction = 0.01;
   o.base.mean_burst_symbols = 200;
   o.sweep.base_seed = 5;
@@ -569,8 +590,7 @@ TEST(PipelineTrace, RecordThenReplayReproducesTheRun) {
 }
 
 TEST(PipelineTrace, StreamingPathRecordsAndReplaysIdentically) {
-  // Same round trip on the streaming frame path (side != rs_n), where
-  // events flow through the sink instead of the in-place fast path.
+  // Same round trip on the packed word layout (two-stage, side != rs_n).
   const std::string trace = ::testing::TempDir() + "pipeline_trace_stream.txt";
   auto live_cfg = burst_config("two-stage", 29);
   live_cfg.side = 64;
@@ -648,29 +668,34 @@ TEST(PipelineMultiLink, StreamingPathSupportsLinks) {
 }
 
 TEST(MakeSource, ValidatesConfig) {
-  PipelineConfig c;
-  c.run_dram = false;
-  c.links = 0;
-  EXPECT_THROW(make_source(c), std::invalid_argument);
-  c = PipelineConfig{};
-  c.trace_replay = "whatever.txt";  // replay needs channel == "trace"
-  EXPECT_THROW(make_source(c), std::invalid_argument);
-  c = PipelineConfig{};
-  c.channel = "trace";  // trace channel needs a replay file
-  EXPECT_THROW(make_source(c), std::invalid_argument);
-  c = PipelineConfig{};
-  c.channel = "trace";
-  c.trace_replay = ::testing::TempDir() + "does_not_exist.trace";
-  EXPECT_THROW(make_source(c), std::runtime_error);
-  c = PipelineConfig{};
-  c.channel = "none";
-  EXPECT_EQ(make_source(c), nullptr);
-  c.trace_record = "anything.txt";  // nothing to record on a clean channel
-  EXPECT_THROW(make_source(c), std::invalid_argument);
-  c = PipelineConfig{};
-  c.channel = "gilbert-elliott";
-  c.links = 4;
-  const auto src = make_source(c);
+  // One fresh config per case: no case inherits another's settings.
+  PipelineConfig no_links;
+  no_links.links = 0;
+  EXPECT_THROW(make_source(no_links), std::invalid_argument);
+
+  PipelineConfig stray_replay;
+  stray_replay.trace_replay = "whatever.txt";  // replay needs channel == "trace"
+  EXPECT_THROW(make_source(stray_replay), std::invalid_argument);
+
+  PipelineConfig trace_without_file;
+  trace_without_file.channel = "trace";  // trace channel needs a replay file
+  EXPECT_THROW(make_source(trace_without_file), std::invalid_argument);
+
+  PipelineConfig missing_trace;
+  missing_trace.channel = "trace";
+  missing_trace.trace_replay = ::testing::TempDir() + "does_not_exist.trace";
+  EXPECT_THROW(make_source(missing_trace), std::runtime_error);
+
+  PipelineConfig clean;
+  clean.channel = "none";
+  EXPECT_EQ(make_source(clean), nullptr);
+  clean.trace_record = "anything.txt";  // nothing to record on a clean channel
+  EXPECT_THROW(make_source(clean), std::invalid_argument);
+
+  PipelineConfig multi;
+  multi.channel = "gilbert-elliott";
+  multi.links = 4;
+  const auto src = make_source(multi);
   ASSERT_NE(src, nullptr);
   EXPECT_STREQ(src->name(), "multi-link");
 }
@@ -743,24 +768,10 @@ TEST(PipelineSlices, SliceRangesPartitionCapacity) {
   }
 }
 
-TEST(PipelineSlices, CombineMatchesUnslicedRun) {
-  // Any slice count must reassemble to the unsliced result on every
-  // field except the two the API documents as run-shaped
-  // (workspace_peak_bytes, host_ns). Multi-link + two-stage is the
-  // hardest case: wire position and input position differ everywhere.
-  PipelineConfig c;
-  c.interleaver = "two-stage";
-  c.side = 200;
-  c.symbols_per_burst = 16;
-  c.channel = "gilbert-elliott";
-  c.fade_fraction = 0.01;
-  c.mean_burst_symbols = 400;
-  c.error_rate_bad = 0.9;
-  c.frames = 3;
-  c.seed = 42;
-  c.links = 2;
-  c.run_dram = false;
-  ASSERT_TRUE(pipeline_streams(c));
+/// Any slice count must reassemble to the unsliced result on every field
+/// except the two the API documents as run-shaped (workspace_peak_bytes,
+/// host_ns).
+void expect_slices_match_unsliced(const PipelineConfig& c) {
   const fec::ReedSolomon rs(c.rs_n, c.rs_k);
   const auto whole = run_pipeline(c, rs);
   ASSERT_GT(whole.channel_symbol_errors, 0u);
@@ -788,23 +799,324 @@ TEST(PipelineSlices, CombineMatchesUnslicedRun) {
   }
 }
 
-TEST(PipelineSlices, RejectsNonStreamingAndInvalidArguments) {
-  PipelineConfig materialized;  // side == rs_n, "none": legacy path
-  materialized.frames = 1;
-  materialized.run_dram = false;
-  ASSERT_FALSE(pipeline_streams(materialized));
-  EXPECT_THROW(run_pipeline_slice(materialized, 0, 2), std::invalid_argument);
+TEST(PipelineSlices, CombineMatchesUnslicedRun) {
+  // Multi-link + two-stage is the hardest case: wire position and input
+  // position differ everywhere.
+  PipelineConfig c;
+  c.interleaver = "two-stage";
+  c.side = 200;
+  c.symbols_per_burst = 16;
+  c.channel = "gilbert-elliott";
+  c.fade_fraction = 0.01;
+  c.mean_burst_symbols = 400;
+  c.error_rate_bad = 0.9;
+  c.frames = 3;
+  c.seed = 42;
+  c.links = 2;
+  c.run_dram = false;
+  expect_slices_match_unsliced(c);
+}
 
+TEST(PipelineSlices, RowAlignedSlicesMatchUnslicedRun) {
+  // side == rs_n: one shortened word per triangle row, so slice
+  // boundaries cut through rows and hits land in the zero-padding rows.
+  for (const char* il : {"none", "block", "triangular"}) {
+    SCOPED_TRACE(il);
+    auto c = burst_config(il, 5);
+    c.fade_fraction = 0.03;  // a few fades per 32640-symbol frame
+    c.frames = 4;
+    expect_slices_match_unsliced(c);
+  }
+}
+
+TEST(PipelineSlices, RejectsInvalidArguments) {
   PipelineConfig c;
   c.interleaver = "two-stage";
   c.side = 40;
   c.symbols_per_burst = 8;
   c.frames = 1;
   c.run_dram = false;
-  ASSERT_TRUE(pipeline_streams(c));
   EXPECT_THROW(run_pipeline_slice(c, 2, 2), std::invalid_argument);
+  EXPECT_THROW(run_pipeline_slice(c, 0, 0), std::invalid_argument);
   c.trace_record = "/tmp/tbi-slice-trace.bin";  // a slice would tear the trace
   EXPECT_THROW(run_pipeline_slice(c, 0, 2), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Error-domain decode against the full-data path
+// ---------------------------------------------------------------------------
+
+/// The full-data decode of one word the error-domain decode replaced:
+/// random data in [lead, k) after lead zeros, encode, XOR \p error,
+/// decode, compare the data region with what was sent.
+WordOutcome full_data_decode(const fec::ReedSolomon& rs,
+                             const std::vector<std::uint8_t>& error, unsigned lead,
+                             Rng& rng, fec::RsScratch& scratch) {
+  std::vector<std::uint8_t> word(rs.n(), 0);
+  for (unsigned d = lead; d < rs.k(); ++d) {
+    word[d] = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  const std::vector<std::uint8_t> sent(word.begin(), word.begin() + rs.k());
+  rs.encode(std::span<const std::uint8_t>(word.data(), rs.k()), word);
+  for (unsigned j = 0; j < rs.n(); ++j) word[j] ^= error[j];
+  const auto res = rs.decode(std::span<std::uint8_t>(word), scratch);
+  WordOutcome out;
+  out.decoded = res.ok;
+  out.data_ok = res.ok && std::equal(sent.begin() + lead, sent.end(), word.begin() + lead);
+  out.corrected_symbols = res.corrected_symbols;
+  return out;
+}
+
+/// Decode \p error both ways and require the same outcome. Returns the
+/// error-domain outcome, with \p prefix_touched set when a correction
+/// landed in the implicit leading zeros.
+WordOutcome expect_same_outcome(const fec::ReedSolomon& rs,
+                                const std::vector<std::uint8_t>& error, unsigned lead,
+                                Rng& rng, fec::RsScratch& scratch,
+                                bool* prefix_touched = nullptr) {
+  const WordOutcome full = full_data_decode(rs, error, lead, rng, scratch);
+  std::vector<std::uint8_t> e = error;
+  const WordOutcome err = decode_error_word(rs, e, lead, scratch);
+  EXPECT_EQ(err.decoded, full.decoded);
+  EXPECT_EQ(err.data_ok, full.data_ok);
+  EXPECT_EQ(err.corrected_symbols, full.corrected_symbols);
+  if (prefix_touched != nullptr) {
+    *prefix_touched = std::any_of(e.begin(), e.begin() + lead,
+                                  [](std::uint8_t x) { return x != 0; });
+  }
+  return err;
+}
+
+/// \p count distinct positions in [lo, hi), drawn uniformly.
+std::vector<unsigned> distinct_positions(unsigned lo, unsigned hi, unsigned count,
+                                         Rng& rng) {
+  std::vector<unsigned> all(hi - lo);
+  for (unsigned j = lo; j < hi; ++j) all[j - lo] = j;
+  for (unsigned i = 0; i < count; ++i) {
+    std::swap(all[i], all[i + rng.uniform(all.size() - i)]);
+  }
+  all.resize(count);
+  return all;
+}
+
+std::uint8_t nonzero_symbol(Rng& rng) {
+  return static_cast<std::uint8_t>(1 + rng.uniform(255));
+}
+
+TEST(ErrorDomain, WordDecodeMatchesFullDataPath) {
+  // Random channel hits of every weight 0..t+3 on full and shortened
+  // words: decoding the error pattern alone must agree with decoding
+  // data + parity + hits on success, failure, miscorrection and the
+  // number of corrected symbols.
+  Rng rng(2024);
+  fec::RsScratch scratch;
+  for (const unsigned k : {239u, 223u, 191u}) {
+    const fec::ReedSolomon rs(255, k);
+    const unsigned t = rs.t();
+    std::uint64_t corrected = 0, failed = 0;
+    for (const unsigned lead : {0u, 1u, k / 2, k - 1}) {
+      for (unsigned weight = 0; weight <= t + 3; ++weight) {
+        for (int trial = 0; trial < 6; ++trial) {
+          SCOPED_TRACE(::testing::Message() << "k=" << k << " lead=" << lead
+                                            << " weight=" << weight);
+          // The channel only hits transmitted symbols [lead, n).
+          std::vector<std::uint8_t> error(rs.n(), 0);
+          for (const unsigned j : distinct_positions(lead, rs.n(), weight, rng)) {
+            error[j] = nonzero_symbol(rng);
+          }
+          const WordOutcome out = expect_same_outcome(rs, error, lead, rng, scratch);
+          if (weight <= t) {
+            EXPECT_TRUE(out.data_ok);
+            EXPECT_EQ(out.corrected_symbols, weight);
+          }
+          corrected += out.data_ok && weight > 0;
+          failed += !out.data_ok;
+        }
+      }
+    }
+    EXPECT_GT(corrected, 0u) << k;
+    EXPECT_GT(failed, 0u) << k;
+  }
+}
+
+TEST(ErrorDomain, PrefixCorrectionsMatchFullDataPath) {
+  // Corrections that land in a shortened word's implicit zero prefix.
+  // Pick a correctable pattern v (weight <= t) with at least one symbol
+  // in [0, lead) and a code word c' whose prefix equals v's. The channel
+  // error e = c' + v is zero on the prefix, and the decoder corrects it
+  // to c' by flipping v, prefix included. With c' zero on the data
+  // region that is a clean decode (the prefix is not checked); with
+  // random data there it is a miscorrection. Both paths must agree.
+  Rng rng(77);
+  fec::RsScratch scratch;
+  for (const unsigned k : {239u, 223u, 191u}) {
+    const fec::ReedSolomon rs(255, k);
+    std::uint64_t clean_prefix = 0, miscorrected_prefix = 0;
+    for (const unsigned lead : {1u, 5u, k / 2, k - 1}) {
+      for (int trial = 0; trial < 24; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k << " lead=" << lead
+                                          << " trial=" << trial);
+        // v: one symbol at p0 in the prefix, weight - 1 anywhere else.
+        const unsigned weight = 1 + static_cast<unsigned>(rng.uniform(rs.t()));
+        const unsigned p0 = static_cast<unsigned>(rng.uniform(lead));
+        std::vector<std::uint8_t> v(rs.n(), 0);
+        v[p0] = nonzero_symbol(rng);
+        for (const unsigned j : distinct_positions(0, rs.n() - 1, weight - 1, rng)) {
+          v[j < p0 ? j : j + 1] = nonzero_symbol(rng);
+        }
+        const bool data_zero = trial % 2 == 0;
+        std::vector<std::uint8_t> c(rs.n(), 0);
+        std::copy(v.begin(), v.begin() + lead, c.begin());
+        if (!data_zero) {
+          for (unsigned d = lead; d < k; ++d) c[d] = static_cast<std::uint8_t>(rng.next_u64());
+        }
+        rs.encode(std::span<const std::uint8_t>(c.data(), k), c);
+        std::vector<std::uint8_t> error(rs.n());
+        for (unsigned j = 0; j < rs.n(); ++j) error[j] = c[j] ^ v[j];
+        ASSERT_TRUE(std::all_of(error.begin(), error.begin() + lead,
+                                [](std::uint8_t x) { return x == 0; }));
+
+        bool prefix_touched = false;
+        const WordOutcome out =
+            expect_same_outcome(rs, error, lead, rng, scratch, &prefix_touched);
+        ASSERT_TRUE(out.decoded);
+        EXPECT_TRUE(prefix_touched);
+        EXPECT_EQ(out.corrected_symbols, weight);
+        clean_prefix += data_zero && out.data_ok;
+        miscorrected_prefix += !data_zero && !out.data_ok;
+      }
+    }
+    EXPECT_EQ(clean_prefix, 4u * 12u) << k;
+    EXPECT_GT(miscorrected_prefix, 0u) << k;
+  }
+}
+
+/// The full-data frame loop the error-domain pipeline replaced, as a
+/// reference for run_pipeline's counters: materialize every frame (random
+/// data, encode, lay the words out), permute it onto the wire with the
+/// interleaver's own interleave(), corrupt the wire in place through the
+/// same source, deinterleave, then decode every word and compare its data.
+PipelineResult full_data_pipeline(const PipelineConfig& c) {
+  const fec::ReedSolomon rs(c.rs_n, c.rs_k);
+  const unsigned n = rs.n();
+  const unsigned k = rs.k();
+  const std::uint64_t side = c.side != 0 ? c.side : c.rs_n;
+  using Permute = std::function<std::vector<std::uint8_t>(const std::vector<std::uint8_t>&)>;
+  Permute interleave = [](const std::vector<std::uint8_t>& x) { return x; };
+  Permute deinterleave = interleave;
+  std::uint64_t capacity = triangular_number(side);
+  if (c.interleaver == "triangular") {
+    auto il = std::make_shared<interleaver::TriangularInterleaver>(side);
+    interleave = [il](const auto& x) { return il->interleave(x); };
+    deinterleave = [il](const auto& x) { return il->deinterleave(x); };
+  } else if (c.interleaver == "block") {
+    const std::uint64_t rows = side % 2 == 1 ? side : side + 1;
+    auto il = std::make_shared<interleaver::BlockInterleaver>(rows, capacity / rows);
+    interleave = [il](const auto& x) { return il->interleave(x); };
+    deinterleave = [il](const auto& x) { return il->deinterleave(x); };
+  } else if (c.interleaver == "two-stage") {
+    auto il = std::make_shared<interleaver::TwoStageInterleaver>(side, c.symbols_per_burst);
+    capacity = il->capacity_symbols();
+    interleave = [il](const auto& x) { return il->interleave(x); };
+    deinterleave = [il](const auto& x) { return il->deinterleave(x); };
+  }
+
+  // Words as (input index of the first transmitted symbol, leading zeros).
+  std::vector<std::pair<std::uint64_t, unsigned>> words;
+  if (c.interleaver != "two-stage" && side == c.rs_n) {
+    std::uint64_t pos = 0;
+    for (unsigned i = 0; n - i > rs.parity(); ++i) {
+      words.emplace_back(pos, i);
+      pos += n - i;
+    }
+  } else {
+    for (std::uint64_t w = 0; (w + 1) * n <= capacity; ++w) words.emplace_back(w * n, 0);
+  }
+
+  const auto src = make_source(c);
+  Rng data_rng(0xDA7A + c.seed);
+  fec::RsScratch scratch;
+  PipelineResult r;
+  r.frames = c.frames;
+  r.frame_symbols = capacity;
+  std::vector<std::vector<std::uint8_t>> sent(words.size());
+  for (unsigned f = 0; f < c.frames; ++f) {
+    std::vector<std::uint8_t> stream(capacity, 0);
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      const auto [start, lead] = words[w];
+      std::vector<std::uint8_t> word(n, 0);
+      for (unsigned d = lead; d < k; ++d) word[d] = static_cast<std::uint8_t>(data_rng.next_u64());
+      sent[w].assign(word.begin(), word.begin() + k);
+      rs.encode(std::span<const std::uint8_t>(word.data(), k), word);
+      std::copy(word.begin() + lead, word.end(), stream.begin() + static_cast<long>(start));
+    }
+    std::vector<std::uint8_t> tx = interleave(stream);
+    if (src != nullptr) {
+      r.channel_symbol_errors += src->corrupt(f * capacity, tx);
+      r.channel_symbols += capacity;
+    }
+    const std::vector<std::uint8_t> rx = deinterleave(tx);
+    std::uint64_t failures = 0;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      const auto [start, lead] = words[w];
+      std::vector<std::uint8_t> word(n, 0);
+      std::copy(rx.begin() + static_cast<long>(start),
+                rx.begin() + static_cast<long>(start + n - lead), word.begin() + lead);
+      const auto res = rs.decode(std::span<std::uint8_t>(word), scratch);
+      if (res.ok && std::equal(sent[w].begin() + lead, sent[w].end(), word.begin() + lead)) {
+        r.corrected_symbols += res.corrected_symbols;
+      } else {
+        ++failures;
+      }
+    }
+    r.code_words += words.size();
+    r.word_errors += failures;
+    r.frame_errors += failures != 0;
+  }
+  return r;
+}
+
+TEST(ErrorDomain, PipelineMatchesFullDataFrameLoop) {
+  // Both word layouts, every interleaver kind: the error-domain frame
+  // loop reproduces the materialized full-data loop's counters.
+  std::vector<PipelineConfig> configs;
+  for (const char* il : {"none", "block", "triangular"}) {
+    for (const char* channel : {"gilbert-elliott", "leo"}) {
+      auto c = burst_config(il, 11);  // row-aligned: side == rs_n
+      c.channel = channel;
+      c.frames = 4;
+      configs.push_back(c);
+      c.side = 300;  // packed, with a sub-word padding tail
+      c.fade_fraction = 0.02;
+      configs.push_back(c);
+    }
+  }
+  auto two = burst_config("two-stage", 12);
+  two.side = 40;
+  two.symbols_per_burst = 8;
+  two.fade_fraction = 0.03;
+  two.links = 2;
+  two.rs_k = 239;
+  configs.push_back(two);
+
+  std::uint64_t word_errors = 0, corrected = 0;
+  for (const auto& c : configs) {
+    SCOPED_TRACE(::testing::Message() << c.interleaver << "/" << c.channel
+                                      << " side=" << c.side);
+    const auto want = full_data_pipeline(c);
+    const auto got = run_pipeline(c);
+    EXPECT_EQ(got.frame_symbols, want.frame_symbols);
+    EXPECT_EQ(got.channel_symbols, want.channel_symbols);
+    EXPECT_EQ(got.channel_symbol_errors, want.channel_symbol_errors);
+    EXPECT_EQ(got.code_words, want.code_words);
+    EXPECT_EQ(got.word_errors, want.word_errors);
+    EXPECT_EQ(got.frame_errors, want.frame_errors);
+    EXPECT_EQ(got.corrected_symbols, want.corrected_symbols);
+    word_errors += want.word_errors;
+    corrected += want.corrected_symbols;
+  }
+  EXPECT_GT(word_errors, 0u);
+  EXPECT_GT(corrected, 0u);
 }
 
 // ---------------------------------------------------------------------------

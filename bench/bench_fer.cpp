@@ -44,10 +44,9 @@
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "dram/standards.hpp"
-#include "fec/gf256_simd.hpp"
 #include "perf/counters.hpp"
 #include "sim/dsweep.hpp"
-#include "sim/manifest.hpp"
+#include "sim/dsweep_cli.hpp"
 #include "sim/pipeline.hpp"
 
 namespace {
@@ -56,28 +55,21 @@ volatile std::sig_atomic_t g_cancel = 0;
 
 void handle_signal(int) { g_cancel = 1; }
 
+const tbi::sim::FleetCliNames kFleetNames{"json", "cells", "the JSON sink", "output"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker re-invocation? Hand the process to the protocol loop before
-  // any CLI parsing.
-  const int worker_fd = tbi::sim::dsweep_worker_fd(argc, argv);
-  if (worker_fd >= 0) {
-    return tbi::sim::dsweep_worker_main(worker_fd);
-  }
-  // Remote-worker invocation: dial the fleet driver and serve cells.
-  const std::string connect_spec = tbi::sim::dsweep_worker_connect_arg(argc, argv);
-  if (!connect_spec.empty()) {
-    return tbi::sim::dsweep_worker_connect(connect_spec);
-  }
+  // Worker re-invocation (local or remote)? Hand the process to the
+  // protocol loop before any CLI parsing.
+  if (const auto code = tbi::sim::run_fleet_worker(argc, argv)) return *code;
 
   tbi::CliParser cli("bench_fer", "FER sweep: interleaver x channel x code rate");
   cli.add_option("device", "name", "DRAM device (default LPDDR5-8533)");
   cli.add_option("frames", "n", "frames per scenario (default 40)");
   cli.add_option("seed", "s", "sweep base seed (default 1)");
   cli.add_option("threads", "T", "sweep worker threads (default: all cores)");
-  cli.add_option("workers", "N", "worker processes (default 1 = in-process)");
-  cli.add_option("resume", "", "skip cells recorded in the --json manifest");
+  tbi::sim::add_fleet_options(cli, kFleetNames);
   cli.add_option("fade-prob", "p", "stationary fade duty cycle (default 0.004)");
   cli.add_option("burst-symbols", "b", "mean fade length in symbols (default 300)");
   cli.add_option("side", "s", "interleaver side (0 = RS-255 triangle; bursts for two-stage)");
@@ -86,14 +78,9 @@ int main(int argc, char** argv) {
   cli.add_option("frame-slices", "n",
                  "split each cell's frames into n intra-frame "
                  "channel slices spread over the sweep workers (default 1)");
-  cli.add_option("listen", "h:p", "adopt remote TCP workers (fleet driver mode)");
-  cli.add_option("connect", "h:p", "serve a --listen driver as a remote worker");
-  cli.add_option("worker-timeout-ms", "ms",
-                 "declare a silent worker dead/partitioned after this long (default 5000)");
   cli.add_option("accept-timeout-ms", "ms",
                  "--listen: run in-process when no worker connects for this long "
                  "(default 10000)");
-  cli.add_option("shard", "i/n", "compute only shard i of n (needs --json)");
   cli.add_option("merge-shards", "m1,m2,..",
                  "merge shard manifests into the full result (no compute)");
   cli.add_option("markdown", "", "print GitHub markdown");
@@ -114,9 +101,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown device '%s'\n", device.c_str());
     return 1;
   }
-  if (cli.has("resume") && !cli.has("json")) {
-    std::fprintf(stderr, "error: --resume needs --json (the manifest lives "
-                         "next to the JSON sink)\n");
+  tbi::sim::DsweepOptions dist;
+  try {
+    tbi::sim::read_fleet_options(cli, kFleetNames, dist);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 
@@ -154,39 +143,12 @@ int main(int argc, char** argv) {
   }
   options.frame_slices = static_cast<unsigned>(frame_slices);
 
-  tbi::sim::DsweepOptions dist;
-  dist.workers = static_cast<unsigned>(cli.get_int("workers", 1));
-  dist.resume = cli.has("resume");
-  if (cli.has("json")) {
-    dist.manifest_path = cli.get("json", "") + ".manifest";
-  }
-  dist.listen = cli.get("listen", "");
-  const std::int64_t worker_timeout = cli.get_int("worker-timeout-ms", 5000);
-  if (worker_timeout <= 0) {
-    std::fprintf(stderr, "error: --worker-timeout-ms must be positive\n");
-    return 1;
-  }
-  dist.heartbeat_timeout_ms = static_cast<unsigned>(worker_timeout);
   const std::int64_t accept_timeout = cli.get_int("accept-timeout-ms", 10000);
   if (accept_timeout <= 0) {
     std::fprintf(stderr, "error: --accept-timeout-ms must be positive\n");
     return 1;
   }
   dist.accept_timeout_ms = static_cast<unsigned>(accept_timeout);
-  if (cli.has("shard")) {
-    try {
-      tbi::sim::parse_shard_spec(cli.get("shard", ""), &dist.shard_index,
-                                 &dist.shard_count);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    if (!cli.has("json")) {
-      std::fprintf(stderr, "error: --shard needs --json (the shard's output is "
-                           "its manifest)\n");
-      return 1;
-    }
-  }
   dist.cancel = &g_cancel;
   if (cli.has("progress")) {
     dist.progress = [](const tbi::sim::SweepProgress& p) {
@@ -247,10 +209,6 @@ int main(int argc, char** argv) {
     if (!stable) {
       config["threads"] = static_cast<std::uint64_t>(options.sweep.threads);
       config["workers"] = static_cast<std::uint64_t>(dist.workers);
-      // Which GF(2^8) kernel dispatch picked (TBI_SIMD override included)
-      // — lets bench_compare trend lines name the backend they measured.
-      config["simd_backend"] =
-          tbi::fec::gf256_backend_name(tbi::fec::gf256_active_backend());
     }
     if (options.frame_slices > 1) {
       config["frame_slices"] = static_cast<std::uint64_t>(options.frame_slices);

@@ -53,7 +53,7 @@
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "sim/dsweep.hpp"
-#include "sim/manifest.hpp"
+#include "sim/dsweep_cli.hpp"
 #include "sim/pipeline.hpp"
 
 namespace {
@@ -73,6 +73,8 @@ const char* kDefaultConfig = R"({
 volatile std::sig_atomic_t g_cancel = 0;
 
 void handle_signal(int) { g_cancel = 1; }
+
+const tbi::sim::FleetCliNames kFleetNames{"output", "runs", "the output file", "result"};
 
 /// FER batch: the "fer" config object drives run_fer_sweep_dist. Axis
 /// arrays select the grid, scalar fields fill the pipeline template with
@@ -166,25 +168,12 @@ tbi::Json run_fer_experiment(const tbi::Json& fer, tbi::sim::DsweepOptions& dist
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int worker_fd = tbi::sim::dsweep_worker_fd(argc, argv);
-  if (worker_fd >= 0) {
-    return tbi::sim::dsweep_worker_main(worker_fd);
-  }
-  const std::string connect_spec = tbi::sim::dsweep_worker_connect_arg(argc, argv);
-  if (!connect_spec.empty()) {
-    return tbi::sim::dsweep_worker_connect(connect_spec);
-  }
+  if (const auto code = tbi::sim::run_fleet_worker(argc, argv)) return *code;
 
   tbi::CliParser cli("experiment_runner", "JSON-driven simulation batches");
   cli.add_option("config", "file", "JSON experiment description");
   cli.add_option("output", "file", "write results to file (default stdout)");
-  cli.add_option("workers", "N", "worker processes (default 1 = in-process)");
-  cli.add_option("resume", "", "skip runs recorded in the --output manifest");
-  cli.add_option("listen", "h:p", "adopt remote TCP workers (fleet driver mode)");
-  cli.add_option("connect", "h:p", "serve a --listen driver as a remote worker");
-  cli.add_option("worker-timeout-ms", "ms",
-                 "declare a silent worker dead/partitioned after this long (default 5000)");
-  cli.add_option("shard", "i/n", "compute only shard i of n (needs --output)");
+  tbi::sim::add_fleet_options(cli, kFleetNames);
   cli.add_option("print-default-config", "", "emit a starter config and exit");
   if (!cli.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", cli.error().c_str(), cli.usage().c_str());
@@ -198,9 +187,11 @@ int main(int argc, char** argv) {
     std::puts(kDefaultConfig);
     return 0;
   }
-  if (cli.has("resume") && !cli.has("output")) {
-    std::fprintf(stderr, "error: --resume needs --output (the manifest lives "
-                         "next to the output file)\n");
+  tbi::sim::DsweepOptions dist;
+  try {
+    tbi::sim::read_fleet_options(cli, kFleetNames, dist);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 
@@ -222,31 +213,9 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, handle_signal);
 
   tbi::Json results;
-  tbi::sim::DsweepOptions dist;
   bool interrupted = false;
   try {
     const tbi::Json config = tbi::Json::parse(text);
-    dist.workers = static_cast<unsigned>(cli.get_int("workers", 1));
-    dist.resume = cli.has("resume");
-    if (cli.has("output")) {
-      dist.manifest_path = cli.get("output", "") + ".manifest";
-    }
-    dist.listen = cli.get("listen", "");
-    const std::int64_t worker_timeout = cli.get_int("worker-timeout-ms", 5000);
-    if (worker_timeout <= 0) {
-      std::fprintf(stderr, "error: --worker-timeout-ms must be positive\n");
-      return 1;
-    }
-    dist.heartbeat_timeout_ms = static_cast<unsigned>(worker_timeout);
-    if (cli.has("shard")) {
-      tbi::sim::parse_shard_spec(cli.get("shard", ""), &dist.shard_index,
-                                 &dist.shard_count);
-      if (!cli.has("output")) {
-        std::fprintf(stderr, "error: --shard needs --output (the shard's result "
-                             "is its manifest)\n");
-        return 1;
-      }
-    }
     dist.cancel = &g_cancel;
     dist.faults = tbi::sim::FaultSpec::from_env();
 

@@ -130,8 +130,17 @@ class Parser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // The parser recurses per container, so untrusted input (a peer's
+        // Hello, a manifest line) must not choose the stack depth.
+        if (++depth_ > Json::kMaxParseDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth));
+        }
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -267,6 +276,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 void dump_string(std::string& out, const std::string& s) {

@@ -69,7 +69,11 @@ class Json {
   Json& operator[](const std::string& key);
   void push_back(Json v);
 
-  /// Parse a complete JSON document (throws JsonError on any trailing junk).
+  /// Deepest container nesting parse() accepts.
+  static constexpr std::size_t kMaxParseDepth = 256;
+
+  /// Parse a complete JSON document (throws JsonError on any trailing
+  /// junk or on nesting deeper than kMaxParseDepth).
   static Json parse(const std::string& text);
 
   /// Serialize; \p indent > 0 pretty-prints with that many spaces.

@@ -1,104 +1,35 @@
 #include "fec/gf256_simd.hpp"
 
-#include <array>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-#include <string>
-
 #include "fec/gf256.hpp"
 
 namespace tbi::fec {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Constexpr table construction. Everything derives from the same constexpr
-// exp/log tables as GF256 itself, so all four backends (including the 64 KiB
-// product table the scalar path reads) agree by construction.
-// ---------------------------------------------------------------------------
-
-constexpr std::uint8_t cmul(unsigned a, unsigned b) {
-  // constexpr-safe product: shift/xor by the primitive polynomial. Only runs
-  // at compile time, so speed is irrelevant and it doubles as an independent
-  // derivation from GF256's log/exp route.
-  unsigned acc = 0;
-  for (unsigned bit = 0; bit < 8; ++bit) {
-    if (b & (1u << bit)) acc ^= a << bit;
-  }
-  for (unsigned bit = 15; bit >= 8; --bit) {
-    if (acc & (1u << bit)) acc ^= detail::kGfPrimitivePoly << (bit - 8);
-  }
-  return static_cast<std::uint8_t>(acc);
-}
-
-constexpr detail::GfNibbleTables make_nibble_tables() {
-  detail::GfNibbleTables t{};
-  for (unsigned m = 0; m < 256; ++m) {
-    for (unsigned x = 0; x < 16; ++x) {
-      t.lo[m][x] = cmul(m, x);
-      t.hi[m][x] = cmul(m, x << 4);
-    }
-  }
-  return t;
-}
-
-constexpr detail::GfNibbleTables kNibbles = make_nibble_tables();
-
 struct MulTable {
   std::uint8_t row[256][256];
 };
 
 constexpr MulTable make_mul_table() {
-  // Built from the nibble split tables (m*x = m*(x&15) ^ m*(x>>4 << 4)),
-  // not a cmul per entry: 64 K cmuls exceed GCC's constexpr ops limit
-  // once UBSan's checked arithmetic inflates the per-op count, and two
-  // lookups + xor per entry stay far under it on every build.
+  // One log/antilog lookup per entry keeps the 64 K-entry build under the
+  // compiler's constexpr operation limit, UBSan builds included.
+  const auto exp = detail::gf256_make_exp();
+  const auto log = detail::gf256_make_log();
   MulTable t{};
-  for (unsigned m = 0; m < 256; ++m) {
-    for (unsigned x = 0; x < 256; ++x) {
-      t.row[m][x] =
-          static_cast<std::uint8_t>(kNibbles.lo[m][x & 15] ^ kNibbles.hi[m][x >> 4]);
-    }
+  for (unsigned m = 1; m < 256; ++m) {
+    for (unsigned x = 1; x < 256; ++x) t.row[m][x] = exp[log[m] + log[x]];
   }
   return t;
 }
 
-// 64 KiB full product table, multiplier-major: kMul.row[m] is the scalar
+// 64 KiB full product table, multiplier-major: kMul.row[m] is the
 // kernel's lookup row. Backed by .rodata like GF256's tables.
 constinit const MulTable kMul = make_mul_table();
 
-constexpr detail::GfAffineTable make_affine_table() {
-  // vgf2p8affineqb computes, per destination byte, result bit i =
-  // parity(matrix_byte[7-i] & src_byte): qword byte 7-i holds the row that
-  // produces bit i, and that row's bit j is the coefficient of source
-  // bit j. "Multiply by m" sends basis vector x^j to m * x^j, so
-  // row_i bit j = bit i of cmul(m, 1 << j).
-  detail::GfAffineTable t{};
-  for (unsigned m = 0; m < 256; ++m) {
-    std::uint64_t matrix = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-      std::uint64_t row = 0;
-      for (unsigned j = 0; j < 8; ++j) {
-        if (cmul(m, 1u << j) & (1u << i)) row |= 1u << j;
-      }
-      matrix |= row << (8 * (7 - i));
-    }
-    t.m[m] = matrix;
-  }
-  return t;
-}
-
 }  // namespace
 
-namespace detail {
-
-constinit const GfNibbleTables kGfNibbleTables = kNibbles;
-constinit const GfAffineTable kGfAffine = make_affine_table();
-
-void gf256_muladd_scalar(std::uint8_t* dst, const std::uint8_t* src,
-                         std::uint8_t m, std::size_t len) {
+void gf256_muladd(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t m,
+                  std::size_t len) {
   if (m == 0 || len == 0) return;
   const std::uint8_t* row = kMul.row[m];
   std::size_t i = 0;
@@ -109,163 +40,6 @@ void gf256_muladd_scalar(std::uint8_t* dst, const std::uint8_t* src,
     dst[i + 3] ^= row[src[i + 3]];
   }
   for (; i < len; ++i) dst[i] ^= row[src[i]];
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// Host support detection + dispatch
-// ---------------------------------------------------------------------------
-
-namespace {
-
-#if defined(TBI_SIMD_X86)
-
-void cpuid_count(unsigned leaf, unsigned subleaf, unsigned out[4]) {
-  __asm__ volatile("cpuid"
-                   : "=a"(out[0]), "=b"(out[1]), "=c"(out[2]), "=d"(out[3])
-                   : "a"(leaf), "c"(subleaf));
-}
-
-bool host_has(GfBackend backend) {
-  if (backend == GfBackend::Scalar) return true;
-  unsigned regs[4];
-  cpuid_count(0, 0, regs);
-  if (regs[0] < 7) return false;
-  cpuid_count(1, 0, regs);
-  // OSXSAVE (ecx bit 27) and AVX (ecx bit 28), then confirm the OS enables
-  // xmm+ymm state (XCR0 bits 1:2) before trusting any 256-bit feature bit.
-  if ((regs[2] & (1u << 27)) == 0 || (regs[2] & (1u << 28)) == 0) return false;
-  unsigned xcr0_lo, xcr0_hi;
-  __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
-  if ((xcr0_lo & 0x6) != 0x6) return false;
-  cpuid_count(7, 0, regs);
-  const bool avx2 = (regs[1] & (1u << 5)) != 0;
-  if (backend == GfBackend::Avx2) return avx2;
-  // GFNI (leaf 7 ecx bit 8); the kernel uses the 256-bit VEX form, which
-  // additionally needs AVX2 for the vpshufb-free strip logic around it.
-  return avx2 && (regs[2] & (1u << 8)) != 0;
-}
-
-#else  // !TBI_SIMD_X86
-
-bool host_has(GfBackend backend) { return backend == GfBackend::Scalar; }
-
-#endif
-
-using KernelFn = void (*)(std::uint8_t*, const std::uint8_t*, std::uint8_t,
-                          std::size_t);
-
-KernelFn backend_fn(GfBackend backend) {
-  switch (backend) {
-#if defined(TBI_SIMD_X86)
-    case GfBackend::Avx2:
-      return &detail::gf256_muladd_avx2;
-    case GfBackend::Gfni:
-      return &detail::gf256_muladd_gfni;
-#endif
-    default:
-      return &detail::gf256_muladd_scalar;
-  }
-}
-
-GfBackend parse_backend_name(const char* name) {
-  const std::string s(name);
-  if (s == "scalar") return GfBackend::Scalar;
-  if (s == "avx2") return GfBackend::Avx2;
-  if (s == "gfni") return GfBackend::Gfni;
-  throw std::invalid_argument("TBI_SIMD: unknown backend '" + s +
-                              "' (want scalar|avx2|gfni)");
-}
-
-GfBackend resolve_backend() {
-  if (const char* env = std::getenv("TBI_SIMD")) {
-    const GfBackend want = parse_backend_name(env);
-    if (!gf256_backend_supported(want)) {
-      throw std::runtime_error(std::string("TBI_SIMD=") + env +
-                               ": backend not supported on this host/build");
-    }
-    return want;
-  }
-  if (host_has(GfBackend::Gfni)) return GfBackend::Gfni;
-  if (host_has(GfBackend::Avx2)) return GfBackend::Avx2;
-  return GfBackend::Scalar;
-}
-
-// Dispatch state: the active kernel pointer, lazily resolved on first use.
-// relaxed is enough — the pointed-to kernels are pure code, and re-resolving
-// twice on a racy first call is benign (both writers store the same value).
-std::atomic<KernelFn> g_kernel{nullptr};
-std::atomic<GfBackend> g_backend{GfBackend::Scalar};
-
-KernelFn resolve_and_cache() {
-  const GfBackend backend = resolve_backend();
-  const KernelFn fn = backend_fn(backend);
-  g_backend.store(backend, std::memory_order_relaxed);
-  g_kernel.store(fn, std::memory_order_relaxed);
-  return fn;
-}
-
-}  // namespace
-
-const char* gf256_backend_name(GfBackend backend) {
-  switch (backend) {
-    case GfBackend::Scalar:
-      return "scalar";
-    case GfBackend::Avx2:
-      return "avx2";
-    case GfBackend::Gfni:
-      return "gfni";
-  }
-  return "?";
-}
-
-bool gf256_backend_supported(GfBackend backend) { return host_has(backend); }
-
-std::vector<GfBackend> gf256_supported_backends() {
-  std::vector<GfBackend> out;
-  for (GfBackend b : {GfBackend::Scalar, GfBackend::Avx2, GfBackend::Gfni}) {
-    if (gf256_backend_supported(b)) out.push_back(b);
-  }
-  return out;
-}
-
-GfBackend gf256_active_backend() {
-  if (g_kernel.load(std::memory_order_relaxed) == nullptr) resolve_and_cache();
-  return g_backend.load(std::memory_order_relaxed);
-}
-
-void gf256_force_backend(GfBackend backend) {
-  if (!gf256_backend_supported(backend)) {
-    throw std::runtime_error(
-        std::string("gf256_force_backend: backend not supported: ") +
-        gf256_backend_name(backend));
-  }
-  g_backend.store(backend, std::memory_order_relaxed);
-  g_kernel.store(backend_fn(backend), std::memory_order_relaxed);
-}
-
-void gf256_reset_backend() {
-  g_kernel.store(nullptr, std::memory_order_relaxed);
-  g_backend.store(GfBackend::Scalar, std::memory_order_relaxed);
-}
-
-void gf256_muladd(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t m,
-                  std::size_t len) {
-  KernelFn fn = g_kernel.load(std::memory_order_relaxed);
-  if (fn == nullptr) fn = resolve_and_cache();
-  fn(dst, src, m, len);
-}
-
-void gf256_muladd_backend(GfBackend backend, std::uint8_t* dst,
-                          const std::uint8_t* src, std::uint8_t m,
-                          std::size_t len) {
-  if (!gf256_backend_supported(backend)) {
-    throw std::runtime_error(
-        std::string("gf256_muladd_backend: backend not supported: ") +
-        gf256_backend_name(backend));
-  }
-  backend_fn(backend)(dst, src, m, len);
 }
 
 }  // namespace tbi::fec

@@ -38,7 +38,7 @@ ReedSolomon::ReedSolomon(unsigned n, unsigned k) : n_(n), k_(k) {
     generator_ = std::move(next);
   }
 
-  // Row operands for the two vectorized hot loops (gf256_simd.hpp).
+  // Row operands for the two kernel loops (gf256_simd.hpp).
   // Encode's long division subtracts feedback * g(x) with coefficients
   // descending in power — the monic leading term cancels the current
   // dividend coefficient implicitly, the rest is the reversed generator.
@@ -49,14 +49,11 @@ ReedSolomon::ReedSolomon(unsigned n, unsigned k) : n_(n), k_(k) {
   // Syndromes as row accumulation instead of Horner: S_i = r(alpha^i) =
   // sum_j word[j] * alpha^{i(n-1-j)}, so each received position j owns a
   // contiguous row of root powers that one muladd folds into all parity
-  // accumulators at once. Rows are padded to a whole number of 16-byte
-  // strips with further (valid) powers; the padded accumulator lanes are
-  // never read.
-  row_stride_ = (p + 15u) & ~15u;
-  pow_rows_.assign(static_cast<std::size_t>(n_) * row_stride_, 0);
+  // accumulators at once.
+  pow_rows_.assign(static_cast<std::size_t>(n_) * p, 0);
   for (unsigned j = 0; j < n_; ++j) {
-    std::uint8_t* row = pow_rows_.data() + static_cast<std::size_t>(j) * row_stride_;
-    for (unsigned i = 0; i < row_stride_; ++i) {
+    std::uint8_t* row = pow_rows_.data() + static_cast<std::size_t>(j) * p;
+    for (unsigned i = 0; i < p; ++i) {
       row[i] = GF256::pow_alpha((i + 1u) * (n_ - 1u - j));
     }
   }
@@ -70,11 +67,11 @@ void ReedSolomon::encode(std::span<const std::uint8_t> data,
   // Systematic encoding as in-place long division of data * x^(n-k) by
   // g(x): the dividend starts as [data | 0^p]; each step cancels the
   // leading coefficient and XOR-accumulates feedback * grev_ into the
-  // next p coefficients with one vector muladd. What remains in
+  // next p coefficients with one muladd. What remains in
   // c[k..n) IS the parity, already in the word's high-degree-first
   // layout (c[k+d] is the coefficient of x^(p-1-d)).
   const unsigned p = parity();
-  alignas(32) std::uint8_t c[255];
+  std::uint8_t c[255];
   std::copy(data.begin(), data.end(), c);
   std::fill(c + k_, c + n_, 0);
   for (unsigned i = 0; i < k_; ++i) {
@@ -91,16 +88,14 @@ bool ReedSolomon::syndromes(std::span<const std::uint8_t> word,
                             std::span<std::uint8_t> out) const {
   // word[j] is the coefficient of x^(n-1-j); S_i = r(alpha^i) =
   // sum_j word[j] * alpha^{i(n-1-j)}, accumulated one precomputed power
-  // row per nonzero symbol so every step is a single vector muladd over
-  // all parity lanes (plus deterministic padding lanes, never read).
+  // row per nonzero symbol so every step is a single muladd over all
+  // parity lanes.
   const unsigned p = parity();
-  alignas(32) std::array<std::uint8_t, 256> acc{};
+  std::array<std::uint8_t, 256> acc{};
   for (unsigned j = 0; j < n_; ++j) {
     const std::uint8_t w = word[j];
     if (w != 0) {
-      gf256_muladd(acc.data(),
-                   pow_rows_.data() + static_cast<std::size_t>(j) * row_stride_,
-                   w, row_stride_);
+      gf256_muladd(acc.data(), pow_rows_.data() + static_cast<std::size_t>(j) * p, w, p);
     }
   }
   std::uint8_t any = 0;

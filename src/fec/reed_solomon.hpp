@@ -10,17 +10,18 @@
 /// Decoder: syndromes -> Berlekamp-Massey -> Chien search -> Forney,
 /// correcting up to t = (n-k)/2 symbol errors per code word.
 ///
-/// Hot-path design: encode and the syndrome pass both reduce to the
-/// vectorized constant-multiplier kernel of gf256_simd.hpp. Encode is an
-/// in-place long division whose feedback step XOR-accumulates one
-/// reversed-generator row per data symbol; syndromes XOR-accumulate one
-/// precomputed power row per nonzero received symbol
-/// (S_i = sum_j w_j * alpha^{i(n-1-j)}), so both inner loops run in
-/// 16/32/64-byte SIMD strips (DESIGN.md §8) and stay byte-identical to
-/// the scalar backend. The span overloads of encode()/decode() write into
-/// caller-owned buffers and an RsScratch workspace, so a steady-state
-/// pipeline performs zero heap allocations per code word; the vector
-/// overloads remain as convenience wrappers with identical results.
+/// Hot-path design: the FER pipeline decides every word of weight <= t in
+/// closed form (sim::decode_error_word, DESIGN.md §5), so decode() runs
+/// only on the few words a fade pushes past t. Encode and the syndrome
+/// pass both reduce to the constant-multiplier kernel of gf256_simd.hpp
+/// (DESIGN.md §8): encode is an in-place long division whose feedback
+/// step XOR-accumulates one reversed-generator row per data symbol;
+/// syndromes XOR-accumulate one precomputed power row per nonzero
+/// received symbol (S_i = sum_j w_j * alpha^{i(n-1-j)}). The span
+/// overloads of encode()/decode() write into caller-owned buffers and an
+/// RsScratch workspace, so a steady-state pipeline performs zero heap
+/// allocations per code word; the vector overloads remain as convenience
+/// wrappers with identical results.
 #pragma once
 
 #include <array>
@@ -104,13 +105,9 @@ class ReedSolomon {
   /// XOR-accumulates feedback * grev_ over the next parity dividend
   /// coefficients with one gf256_muladd.
   std::vector<std::uint8_t> grev_;
-  /// Per-position syndrome power rows, 16-byte-strided so every row is a
-  /// whole number of SIMD strips: pow_rows_[j*row_stride_ + i] =
-  /// alpha^{(i+1)(n-1-j)}. Lanes in [parity, row_stride_) hold valid
-  /// powers too; their accumulator lanes are deterministic garbage that
-  /// syndromes() never reads.
+  /// Per-position syndrome power rows:
+  /// pow_rows_[j*parity + i] = alpha^{(i+1)(n-1-j)}.
   std::vector<std::uint8_t> pow_rows_;
-  unsigned row_stride_ = 0;
 };
 
 }  // namespace tbi::fec

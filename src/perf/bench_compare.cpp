@@ -194,13 +194,10 @@ class Comparer {
 
 MetricKind classify_metric(const std::string& key) {
   // Run-dependent fields: worker count is a harness knob, the process
-  // allocation counter includes startup noise from other code,
-  // generated_* stamps are provenance, and simd_backend names whichever
-  // GF(2^8) kernel CPUID dispatch (or TBI_SIMD) picked on this host — all
-  // backends are byte-identical, so a backend difference (or the key
-  // appearing against a pre-SIMD baseline) is not drift.
+  // allocation counter includes startup noise from other code, and
+  // generated_* stamps are provenance.
   if (key == "threads" || key == "process_allocations" ||
-      key == "simd_backend" || key.rfind("generated", 0) == 0) {
+      key.rfind("generated", 0) == 0) {
     return MetricKind::Ignored;
   }
   // Host wall-clock: loose one-sided bands, direction by unit.

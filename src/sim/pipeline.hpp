@@ -171,7 +171,9 @@ struct WordOutcome {
 /// outcome, miscorrections included (decoded && !data_ok), equals that of
 /// decoding any code word plus \p error. The data symbols [lead, k)
 /// survived iff they decode back to zero; the \p lead implicit leading
-/// zeros of a shortened word are not checked.
+/// zeros of a shortened word are not checked. A word of weight <= t is
+/// decided in closed form (zeroed, corrected_symbols = weight); only
+/// heavier words run ReedSolomon::decode.
 WordOutcome decode_error_word(const fec::ReedSolomon& rs, std::span<std::uint8_t> error,
                               unsigned lead, fec::RsScratch& scratch);
 

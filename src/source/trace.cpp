@@ -1,6 +1,7 @@
 #include "source/trace.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -17,9 +18,15 @@ bool parse_burst_event(const std::string& line, Corruption& event) {
   ss >> std::ws;
   if (ss.eof()) return false;          // blank line
   if (ss.peek() == '#') return false;  // comment
+  // Unsigned extraction accepts a sign ("-5" wraps to 2^64 - 5), so each
+  // field must start with a digit.
+  const auto read_field = [&ss](std::uint64_t& value) {
+    ss >> std::ws;
+    return std::isdigit(ss.peek()) && static_cast<bool>(ss >> value);
+  };
   std::uint64_t pos = 0;
   std::uint64_t flip = 0;
-  if (!(ss >> pos >> flip)) {
+  if (!read_field(pos) || !read_field(flip)) {
     throw std::invalid_argument("burst trace: malformed event line: " + line);
   }
   if (flip == 0 || flip > 255) {
@@ -49,6 +56,14 @@ std::vector<Corruption> read_burst_trace(std::istream& in) {
             [](const Corruption& a, const Corruption& b) {
               return a.wire_pos < b.wire_pos;
             });
+  const auto dup = std::adjacent_find(events.begin(), events.end(),
+                                      [](const Corruption& a, const Corruption& b) {
+                                        return a.wire_pos == b.wire_pos;
+                                      });
+  if (dup != events.end()) {
+    throw std::invalid_argument("burst trace: duplicate wire position " +
+                                std::to_string(dup->wire_pos));
+  }
   return events;
 }
 

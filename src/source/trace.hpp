@@ -38,11 +38,12 @@ std::string format_burst_event(const Corruption& event);
 
 /// Parse one trace line into \p event. Returns false for comment ("#"
 /// prefix) and blank lines; throws std::invalid_argument on malformed
-/// input (missing fields, flip outside 1..255, trailing junk).
+/// input (missing or signed fields, flip outside 1..255, trailing junk).
 bool parse_burst_event(const std::string& line, Corruption& event);
 
 /// Read a whole trace from a stream (header line required). Events are
-/// returned sorted by wire position.
+/// returned sorted by wire position; a wire position listed twice throws
+/// std::invalid_argument.
 std::vector<Corruption> read_burst_trace(std::istream& in);
 
 /// Streams events out as they are recorded; writes the header up front.

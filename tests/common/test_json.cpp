@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <string>
 
 namespace tbi {
 namespace {
@@ -46,6 +47,42 @@ TEST(Json, RejectsMalformed) {
   EXPECT_THROW(Json::parse("tru"), JsonError);
   EXPECT_THROW(Json::parse("1 2"), JsonError);
   EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
+}
+
+TEST(Json, NestingLimitThrowsInsteadOfOverflowingTheStack) {
+  // Far under the wire payload cap, and deep enough to overflow the stack
+  // of an unbounded recursive parser.
+  try {
+    Json::parse(std::string(2'000'000, '['));
+    FAIL() << "2,000,000 nested arrays parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"), std::string::npos)
+        << e.what();
+  }
+  // Objects count toward the same limit, one level past it fails.
+  std::string objects;
+  for (std::size_t i = 0; i <= Json::kMaxParseDepth; ++i) objects += "{\"k\":";
+  EXPECT_THROW(Json::parse(objects + "1" + std::string(Json::kMaxParseDepth + 1, '}')),
+               JsonError);
+  const std::string over = std::string(Json::kMaxParseDepth + 1, '[') +
+                           std::string(Json::kMaxParseDepth + 1, ']');
+  EXPECT_THROW(Json::parse(over), JsonError);
+}
+
+TEST(Json, DocumentAtTheNestingLimitParses) {
+  // Exactly kMaxParseDepth containers, alternating arrays and objects.
+  const std::size_t depth = Json::kMaxParseDepth;
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) text += i % 2 == 0 ? "[" : "{\"k\":";
+  text += "7";
+  for (std::size_t i = depth; i-- > 0;) text += i % 2 == 0 ? "]" : "}";
+  const Json doc = Json::parse(text);
+  const Json* v = &doc;
+  for (std::size_t i = 0; i < depth; ++i) {
+    v = i % 2 == 0 ? &v->as_array().at(0) : &v->at("k");
+  }
+  EXPECT_EQ(v->as_int(), 7);
+  EXPECT_EQ(Json::parse(doc.dump()).dump(), doc.dump());
 }
 
 TEST(Json, TypeErrorsThrow) {

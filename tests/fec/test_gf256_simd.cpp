@@ -1,26 +1,19 @@
 /// \file test_gf256_simd.cpp
-/// Oracle wall for the vectorized GF(2^8) constant-multiplier kernel
-/// (gf256_simd.hpp). Every backend the host supports is driven through
-/// gf256_muladd_backend and checked byte-for-byte against a carry-less
+/// Oracle wall for the GF(2^8) constant-multiplier kernel
+/// (gf256_simd.hpp), checked byte-for-byte against a carry-less
 /// (schoolbook) reference multiply that shares no tables with the kernel
-/// under test — every multiplier 0..255, the full strip/tail length
-/// ladder, and every src/dst misalignment the 16/32/64-byte strips can
-/// see. A cross-backend encode -> corrupt -> decode property test then
-/// pins the full codec to byte-identical output on every backend.
+/// under test — every multiplier 0..255, a length ladder covering the
+/// four-symbol unrolled body and every tail, and a grid of src/dst
+/// misalignments.
 #include "fec/gf256_simd.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <random>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "fec/gf256.hpp"
-#include "fec/reed_solomon.hpp"
 
 namespace tbi::fec {
 namespace {
@@ -28,7 +21,7 @@ namespace {
 /// Naive carry-less multiply in GF(2)[x] reduced by the primitive
 /// polynomial — the same independent reference test_gf256.cpp pins
 /// GF256::mul against. No shared code with the kernel's 64 KiB product
-/// table, nibble split tables, or affine matrices.
+/// table or the log/antilog tables it is built from.
 std::uint8_t carryless_reference_mul(std::uint8_t a, std::uint8_t b) {
   unsigned product = 0;
   for (unsigned bit = 0; bit < 8; ++bit) {
@@ -61,7 +54,7 @@ const std::uint8_t (*reference_rows())[256] {
 /// Run one kernel call against the reference on pattern buffers with
 /// guard regions. The full-buffer memcmp checks both the result span and
 /// that not a single byte outside [doff, doff + len) was written.
-void check_muladd(GfBackend backend, const std::vector<std::uint8_t>& src,
+void check_muladd(const std::vector<std::uint8_t>& src,
                   const std::vector<std::uint8_t>& dst0, std::size_t soff,
                   std::size_t doff, unsigned m, std::size_t len,
                   std::vector<std::uint8_t>& dst,
@@ -72,12 +65,12 @@ void check_muladd(GfBackend backend, const std::vector<std::uint8_t>& src,
   for (std::size_t i = 0; i < len; ++i) {
     want[doff + i] = static_cast<std::uint8_t>(want[doff + i] ^ row[src[soff + i]]);
   }
-  gf256_muladd_backend(backend, dst.data() + doff, src.data() + soff,
-                       static_cast<std::uint8_t>(m), len);
+  gf256_muladd(dst.data() + doff, src.data() + soff, static_cast<std::uint8_t>(m),
+               len);
   if (std::memcmp(dst.data(), want.data(), dst.size()) != 0) {
     for (std::size_t i = 0; i < dst.size(); ++i) {
       ASSERT_EQ(static_cast<unsigned>(dst[i]), static_cast<unsigned>(want[i]))
-          << gf256_backend_name(backend) << " m=" << m << " len=" << len
+          << "m=" << m << " len=" << len
           << " soff=" << soff << " doff=" << doff << " byte=" << i
           << (i < doff || i >= doff + len ? " (guard)" : "");
     }
@@ -85,14 +78,9 @@ void check_muladd(GfBackend backend, const std::vector<std::uint8_t>& src,
 }
 
 TEST(Gf256SimdOracle, EveryMultiplierEveryLengthEveryBackend) {
-  const auto backends = gf256_supported_backends();
-  ASSERT_FALSE(backends.empty());
-  EXPECT_EQ(backends.front(), GfBackend::Scalar);
-
-  // Length ladder from the issue: every length a scalar-only or
-  // single-strip call can have (0..64), one full code word (255), and
-  // every tail shape of a 4 KiB body (4097..4159) so the 64/32/16-byte
-  // strip cascade plus scalar tail all see every residue.
+  // Length ladder: every short length (0..64), one full code word (255),
+  // and 63 consecutive lengths past a 4 KiB body (4097..4159), so the
+  // unrolled body and the tail loop see every residue.
   std::vector<std::size_t> lens;
   for (std::size_t l = 0; l <= 64; ++l) lens.push_back(l);
   lens.push_back(255);
@@ -106,24 +94,22 @@ TEST(Gf256SimdOracle, EveryMultiplierEveryLengthEveryBackend) {
   for (auto& b : dst0) b = static_cast<std::uint8_t>(rng());
   std::vector<std::uint8_t> dst(size), want(size);
 
-  for (const GfBackend backend : backends) {
-    for (unsigned m = 0; m < 256; ++m) {
-      for (std::size_t li = 0; li < lens.size(); ++li) {
-        // Rotate both offsets with the sweep so unaligned src and dst
-        // ride through every multiplier and length; the dedicated
-        // misalignment test below covers the full 32x32 offset grid.
-        const std::size_t soff = kPad + ((m + li) & 31);
-        const std::size_t doff = kPad + ((m + 5 * li) & 31);
-        check_muladd(backend, src, dst0, soff, doff, m, lens[li], dst, want);
-        if (HasFatalFailure()) return;
-      }
+  for (unsigned m = 0; m < 256; ++m) {
+    for (std::size_t li = 0; li < lens.size(); ++li) {
+      // Rotate both offsets with the sweep so unaligned src and dst ride
+      // through every multiplier and length; the dedicated misalignment
+      // test below covers the full 32x32 offset grid.
+      const std::size_t soff = kPad + ((m + li) & 31);
+      const std::size_t doff = kPad + ((m + 5 * li) & 31);
+      check_muladd(src, dst0, soff, doff, m, lens[li], dst, want);
+      if (HasFatalFailure()) return;
     }
   }
 }
 
 TEST(Gf256SimdOracle, EverySrcDstMisalignmentPair) {
-  // Fixed multiplier and length (one 64-byte strip, one 32-byte strip,
-  // one odd scalar tail), the complete 32x32 src/dst offset grid.
+  // Fixed multiplier and an odd length (24 unrolled steps plus a
+  // one-symbol tail), the complete 32x32 src/dst offset grid.
   constexpr unsigned kM = 0x57;
   constexpr std::size_t kLen = 97;
   constexpr std::size_t kPad = 64;
@@ -134,149 +120,12 @@ TEST(Gf256SimdOracle, EverySrcDstMisalignmentPair) {
   for (auto& b : dst0) b = static_cast<std::uint8_t>(rng());
   std::vector<std::uint8_t> dst(size), want(size);
 
-  for (const GfBackend backend : gf256_supported_backends()) {
-    for (std::size_t soff = 0; soff < 32; ++soff) {
-      for (std::size_t doff = 0; doff < 32; ++doff) {
-        check_muladd(backend, src, dst0, kPad / 2 + soff, kPad / 2 + doff, kM,
-                     kLen, dst, want);
-        if (HasFatalFailure()) return;
-      }
+  for (std::size_t soff = 0; soff < 32; ++soff) {
+    for (std::size_t doff = 0; doff < 32; ++doff) {
+      check_muladd(src, dst0, kPad / 2 + soff, kPad / 2 + doff, kM, kLen, dst, want);
+      if (HasFatalFailure()) return;
     }
   }
-}
-
-TEST(Gf256SimdDispatch, ScalarAlwaysSupportedActiveIsSupported) {
-  EXPECT_TRUE(gf256_backend_supported(GfBackend::Scalar));
-  const auto backends = gf256_supported_backends();
-  for (const GfBackend b : backends) {
-    EXPECT_TRUE(gf256_backend_supported(b)) << gf256_backend_name(b);
-  }
-  const GfBackend active = gf256_active_backend();
-  EXPECT_NE(std::find(backends.begin(), backends.end(), active), backends.end())
-      << gf256_backend_name(active);
-}
-
-TEST(Gf256SimdDispatch, BackendNamesAreStable) {
-  EXPECT_STREQ(gf256_backend_name(GfBackend::Scalar), "scalar");
-  EXPECT_STREQ(gf256_backend_name(GfBackend::Avx2), "avx2");
-  EXPECT_STREQ(gf256_backend_name(GfBackend::Gfni), "gfni");
-}
-
-TEST(Gf256SimdDispatch, ForceBackendPinsTheDispatchedEntryPoint) {
-  std::mt19937 rng(99);
-  std::uint8_t src[96], base[96];
-  for (auto& b : src) b = static_cast<std::uint8_t>(rng());
-  for (auto& b : base) b = static_cast<std::uint8_t>(rng());
-
-  for (const GfBackend backend : gf256_supported_backends()) {
-    gf256_force_backend(backend);
-    EXPECT_EQ(gf256_active_backend(), backend);
-    std::uint8_t got[96], want[96];
-    std::memcpy(got, base, sizeof base);
-    std::memcpy(want, base, sizeof base);
-    gf256_muladd(got, src, 0x9D, sizeof got);  // dispatched entry point
-    for (std::size_t i = 0; i < sizeof want; ++i) {
-      want[i] ^= reference_rows()[0x9D][src[i]];
-    }
-    EXPECT_EQ(std::memcmp(got, want, sizeof got), 0)
-        << gf256_backend_name(backend);
-  }
-  gf256_reset_backend();
-}
-
-TEST(Gf256SimdDispatch, UnsupportedBackendThrows) {
-  // Vacuous on hosts/builds where everything is supported; on a
-  // TBI_SIMD_DISABLE build or a pre-AVX2 machine this is the real check
-  // that forcing or calling a missing backend fails loudly.
-  for (const GfBackend b : {GfBackend::Avx2, GfBackend::Gfni}) {
-    if (gf256_backend_supported(b)) continue;
-    EXPECT_THROW(gf256_force_backend(b), std::runtime_error);
-    std::uint8_t byte = 0;
-    EXPECT_THROW(gf256_muladd_backend(b, &byte, &byte, 3, 0), std::runtime_error);
-  }
-}
-
-TEST(Gf256SimdDispatch, TbiSimdOverrideAndErrors) {
-  // The suite may itself be running under TBI_SIMD (CI does exactly
-  // that), so save and restore whatever was set.
-  const char* prev = std::getenv("TBI_SIMD");
-  const std::string saved = prev ? prev : "";
-  const bool had_prev = prev != nullptr;
-
-  setenv("TBI_SIMD", "scalar", 1);
-  gf256_reset_backend();
-  EXPECT_EQ(gf256_active_backend(), GfBackend::Scalar);
-
-  setenv("TBI_SIMD", "no-such-backend", 1);
-  gf256_reset_backend();
-  EXPECT_THROW(gf256_active_backend(), std::invalid_argument);
-
-  // A known but locally unsupported name is a different failure: the
-  // override is explicit, so dispatch must refuse rather than degrade.
-  for (const GfBackend b : {GfBackend::Avx2, GfBackend::Gfni}) {
-    if (gf256_backend_supported(b)) continue;
-    setenv("TBI_SIMD", gf256_backend_name(b), 1);
-    gf256_reset_backend();
-    EXPECT_THROW(gf256_active_backend(), std::runtime_error);
-  }
-
-  if (had_prev) {
-    setenv("TBI_SIMD", saved.c_str(), 1);
-  } else {
-    unsetenv("TBI_SIMD");
-  }
-  gf256_reset_backend();
-  EXPECT_NO_THROW(gf256_active_backend());
-}
-
-TEST(Gf256SimdCodec, EncodeCorruptDecodeByteIdenticalAcrossBackends) {
-  // The codec property the whole PR rests on: for every supported
-  // backend, encode produces the same parity and decode walks back to the
-  // same corrected word — so TBI_SIMD can never change a single FER
-  // counter. Every rs_k of the sweep grid, fixed seed per k.
-  const auto backends = gf256_supported_backends();
-  for (const unsigned k : {239u, 223u, 191u}) {
-    const ReedSolomon rs(255, k);
-    const unsigned t = (255 - k) / 2;
-    std::mt19937 rng(k * 7919u);
-    for (unsigned trial = 0; trial < 6; ++trial) {
-      std::vector<std::uint8_t> data(k);
-      for (auto& b : data) b = static_cast<std::uint8_t>(rng());
-
-      std::vector<std::uint8_t> clean;
-      for (std::size_t bi = 0; bi < backends.size(); ++bi) {
-        gf256_force_backend(backends[bi]);
-        const auto word = rs.encode(data);
-        if (bi == 0) {
-          clean = word;
-        } else {
-          ASSERT_EQ(word, clean) << gf256_backend_name(backends[bi])
-                                 << " k=" << k << " trial=" << trial;
-        }
-      }
-
-      // Corrupt exactly t distinct positions — the worst correctable
-      // word, so decode exercises full BM/Chien/Forney on every backend.
-      auto corrupted = clean;
-      std::vector<unsigned> positions(255);
-      for (unsigned i = 0; i < 255; ++i) positions[i] = i;
-      std::shuffle(positions.begin(), positions.end(), rng);
-      for (unsigned e = 0; e < t; ++e) {
-        corrupted[positions[e]] ^= static_cast<std::uint8_t>((rng() % 255) + 1);
-      }
-
-      for (const GfBackend backend : backends) {
-        gf256_force_backend(backend);
-        auto word = corrupted;
-        const RsDecodeResult res = rs.decode(word);
-        EXPECT_TRUE(res.ok) << gf256_backend_name(backend) << " k=" << k;
-        EXPECT_EQ(res.corrected_symbols, t) << gf256_backend_name(backend);
-        ASSERT_EQ(word, clean) << gf256_backend_name(backend) << " k=" << k
-                               << " trial=" << trial;
-      }
-    }
-  }
-  gf256_reset_backend();
 }
 
 }  // namespace

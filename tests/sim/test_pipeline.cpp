@@ -9,10 +9,11 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
-#include "fec/gf256_simd.hpp"
 #include "fec/reed_solomon.hpp"
 #include "interleaver/block.hpp"
 #include "interleaver/triangular.hpp"
@@ -1119,49 +1120,86 @@ TEST(ErrorDomain, PipelineMatchesFullDataFrameLoop) {
   EXPECT_GT(corrected, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// SIMD backend identity
-// ---------------------------------------------------------------------------
+TEST(ErrorDomain, ClosedFormMatchesFullDecoder) {
+  // decode_error_word decides words of weight <= t in closed form and
+  // hands only heavier words to ReedSolomon::decode. At every weight on
+  // either side of t it must agree with the full decoder run on the same
+  // pattern plus the [lead, k) data check: same outcome, same corrected
+  // count, same word left behind. A fresh scratch per word shows which
+  // side ran: the closed form never touches the decoder's workspace.
+  Rng rng(4242);
+  for (const unsigned k : {239u, 223u, 191u}) {
+    const fec::ReedSolomon rs(255, k);
+    const unsigned t = rs.t();
+    for (const unsigned lead : {0u, 1u, k / 2, k - 1}) {
+      for (const unsigned weight : {0u, 1u, t - 1, t, t + 1, t + 2}) {
+        for (int trial = 0; trial < 8; ++trial) {
+          SCOPED_TRACE(::testing::Message() << "k=" << k << " lead=" << lead
+                                            << " weight=" << weight
+                                            << " trial=" << trial);
+          std::vector<std::uint8_t> error(rs.n(), 0);
+          for (const unsigned j : distinct_positions(lead, rs.n(), weight, rng)) {
+            error[j] = nonzero_symbol(rng);
+          }
 
-TEST(FerSweep, ScalarBackendMatchesDefaultDispatchByteForByte) {
-  // The vectorized codec must never move a single sweep counter: pin the
-  // kernel to the scalar oracle, run a small grid, re-run on whatever
-  // CPUID dispatch picked, and demand equality on every result field but
-  // wall time. (Under TBI_SIMD=scalar both runs are scalar and the test
-  // is a tautology — CI also runs the suite with dispatch enabled.)
-  SweepGrid grid;
-  grid.interleavers = {"two-stage", "block"};
-  grid.channels = {"gilbert-elliott"};
-  grid.rs_ks = {223, 191};
-  FerSweepOptions o;
-  o.sweep.threads = 2;
-  o.sweep.base_seed = 17;
-  o.base.frames = 2;
-  o.base.side = 64;
-  o.base.symbols_per_burst = 16;
-  o.base.run_dram = false;
+          std::vector<std::uint8_t> oracle_word = error;
+          fec::RsScratch oracle_scratch;
+          const auto res = rs.decode(std::span<std::uint8_t>(oracle_word), oracle_scratch);
+          const bool oracle_data_ok =
+              res.ok && std::all_of(oracle_word.begin() + lead, oracle_word.begin() + k,
+                                    [](std::uint8_t s) { return s == 0; });
 
-  fec::gf256_force_backend(fec::GfBackend::Scalar);
-  const auto scalar = run_fer_sweep(grid, o);
-  fec::gf256_reset_backend();
-  const auto dispatched = run_fer_sweep(grid, o);
-
-  ASSERT_EQ(scalar.size(), dispatched.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    const auto& a = scalar[i].result;
-    const auto& b = dispatched[i].result;
-    const std::string label = scalar[i].scenario.label();
-    EXPECT_EQ(a.frames, b.frames) << label;
-    EXPECT_EQ(a.code_words, b.code_words) << label;
-    EXPECT_EQ(a.word_errors, b.word_errors) << label;
-    EXPECT_EQ(a.frame_errors, b.frame_errors) << label;
-    EXPECT_EQ(a.channel_symbol_errors, b.channel_symbol_errors) << label;
-    EXPECT_EQ(a.corrected_symbols, b.corrected_symbols) << label;
-    EXPECT_EQ(a.frame_symbols, b.frame_symbols) << label;
-    EXPECT_EQ(a.channel_symbols, b.channel_symbols) << label;
-    EXPECT_EQ(a.workspace_peak_bytes, b.workspace_peak_bytes) << label;
-    EXPECT_EQ(a.steady_allocations, b.steady_allocations) << label;
+          std::vector<std::uint8_t> word = error;
+          fec::RsScratch scratch;
+          const WordOutcome out = decode_error_word(rs, word, lead, scratch);
+          EXPECT_EQ(out.decoded, res.ok);
+          EXPECT_EQ(out.data_ok, oracle_data_ok);
+          EXPECT_EQ(out.corrected_symbols, res.corrected_symbols);
+          EXPECT_EQ(word, oracle_word);
+          EXPECT_EQ(scratch.synd.empty(), weight <= t);
+          if (weight <= t) {
+            EXPECT_TRUE(out.data_ok);
+            EXPECT_EQ(out.corrected_symbols, weight);
+          }
+        }
+      }
+    }
   }
+}
+
+TEST(ErrorDomain, ClosedFormCountsTheAssembledWordNotTheHits) {
+  // Two hits at one input index XOR into one symbol. With equal flips
+  // they cancel: the word has weight 0 and nothing is corrected. Feed the
+  // frame loop such hits through combine_pipeline_slices (the one entry
+  // that takes hits directly) on the row-aligned layout.
+  auto c = burst_config("none", 5);
+  c.frames = 1;
+  c.run_dram = false;
+  const fec::ReedSolomon rs(c.rs_n, c.rs_k);
+  const auto decode_hits = [&](std::vector<StreamHit> hits) {
+    PipelineSliceResult slice;
+    slice.frames = 1;
+    slice.channel_symbol_errors = hits.size();
+    slice.hits = std::move(hits);
+    return combine_pipeline_slices(c, rs, {slice});
+  };
+
+  const auto cancelled = decode_hits({{0, 7, 0x5A}, {0, 7, 0x5A}});
+  EXPECT_EQ(cancelled.code_words, c.rs_k);
+  EXPECT_EQ(cancelled.word_errors, 0u);
+  EXPECT_EQ(cancelled.corrected_symbols, 0u);
+
+  const auto merged = decode_hits({{0, 7, 0x5A}, {0, 7, 0x0F}});
+  EXPECT_EQ(merged.word_errors, 0u);
+  EXPECT_EQ(merged.corrected_symbols, 1u);
+
+  // t distinct hits plus a cancelling pair: t + 2 hits, weight t, and
+  // still a clean decode of exactly t symbols.
+  std::vector<StreamHit> heavy{{0, 200, 0x33}, {0, 200, 0x33}};
+  for (unsigned j = 0; j < rs.t(); ++j) heavy.push_back({0, j, 0x81});
+  const auto at_t = decode_hits(heavy);
+  EXPECT_EQ(at_t.word_errors, 0u);
+  EXPECT_EQ(at_t.corrected_symbols, rs.t());
 }
 
 }  // namespace

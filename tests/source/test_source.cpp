@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "channel/gilbert_elliott.hpp"
@@ -228,6 +230,14 @@ TEST(BurstTrace, ParserSkipsCommentsAndRejectsMalformed) {
   EXPECT_THROW(parse_burst_event("42 256", e), std::invalid_argument);
   EXPECT_THROW(parse_burst_event("42 7 junk", e), std::invalid_argument);
   EXPECT_THROW(parse_burst_event("not a number 7", e), std::invalid_argument);
+  // Signs: unsigned stream extraction would read "-5" as 2^64 - 5.
+  EXPECT_THROW(parse_burst_event("-5 3", e), std::invalid_argument);
+  EXPECT_THROW(parse_burst_event("+5 3", e), std::invalid_argument);
+  EXPECT_THROW(parse_burst_event("5 -3", e), std::invalid_argument);
+  EXPECT_THROW(parse_burst_event("5 +3", e), std::invalid_argument);
+  EXPECT_THROW(parse_burst_event("  -0 3", e), std::invalid_argument);
+  ASSERT_TRUE(parse_burst_event("  5   3  ", e));
+  EXPECT_EQ(e, (Corruption{5, 3}));
 }
 
 TEST(BurstTrace, WriterReaderRoundTripSortsByPosition) {
@@ -243,6 +253,23 @@ TEST(BurstTrace, WriterReaderRoundTripSortsByPosition) {
   const auto events = read_burst_trace(in);
   const std::vector<Corruption> expected{{10, 255}, {200, 1}, {500, 9}};
   EXPECT_EQ(events, expected);
+}
+
+TEST(BurstTrace, ReaderRejectsDuplicateWirePositions) {
+  std::ostringstream out;
+  BurstTraceWriter writer(out);
+  writer.record({500, 9});
+  writer.record({10, 255});
+  writer.record({500, 9});  // same position again, out of order
+  std::istringstream in(out.str());
+  try {
+    read_burst_trace(in);
+    FAIL() << "duplicate wire position accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate wire position 500"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BurstTrace, ReaderRequiresHeader) {

@@ -142,7 +142,7 @@ FrameReader::Status FrameReader::next(Frame* out) {
   const std::uint8_t type = h[4];
   const std::uint32_t len = get_u32(h + 5);
   const std::uint32_t crc = get_u32(h + 9);
-  if (len > kMaxPayload) {
+  if (len > max_payload_) {
     corrupt_ = true;
     return Status::Corrupt;
   }

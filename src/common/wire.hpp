@@ -78,11 +78,17 @@ bool write_frame(int fd, FrameType type, const std::string& payload);
 /// Incremental frame decoder for one receive direction.
 class FrameReader {
  public:
+  /// \p max_payload bounds the payload this reader accepts: a header
+  /// announcing more is corruption, detected before any of the payload
+  /// is awaited. Readers facing unauthenticated peers pass a small bound.
+  explicit FrameReader(std::uint32_t max_payload = kMaxPayload)
+      : max_payload_(max_payload) {}
+
   enum class Status {
     Frame,     ///< a complete, CRC-valid frame was produced
     NeedMore,  ///< no complete frame buffered yet
     Eof,       ///< peer closed the stream
-    Corrupt,   ///< bad magic, oversize length, or CRC mismatch
+    Corrupt,   ///< bad magic, length past the bound, or CRC mismatch
   };
 
   /// One read(2) from \p fd into the buffer. Returns Eof on stream end,
@@ -101,6 +107,7 @@ class FrameReader {
  private:
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;  ///< consumed prefix of buf_
+  std::uint32_t max_payload_;
   bool corrupt_ = false;
 };
 

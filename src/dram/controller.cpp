@@ -41,14 +41,19 @@ Controller::Controller(DeviceConfig device, ControllerConfig config)
   for (std::uint32_t id = config_.queue_depth; id-- > 0;) free_slots_.push_back(id);
   fifo_next_.assign(config_.queue_depth, kNoSlot);
   fifo_prev_.assign(config_.queue_depth, kNoSlot);
-  bank_next_.assign(config_.queue_depth, kNoSlot);
-  bank_prev_.assign(config_.queue_depth, kNoSlot);
-  bins_.resize(device_.banks);
-  populated_.assign((device_.banks + 63) / 64, 0);
+  bin_next_.assign(config_.queue_depth, kNoSlot);
+  bin_prev_.assign(config_.queue_depth, kNoSlot);
+  page_next_.assign(config_.queue_depth, kNoSlot);
+  page_prev_.assign(config_.queue_depth, kNoSlot);
+  bins_.resize(std::size_t{device_.banks} * 2);
   std::size_t table = 64;
   while (table < static_cast<std::size_t>(config_.queue_depth) * 4) table *= 2;
-  row_counts_.assign(table, RowCountEntry{});
-  row_mask_ = table - 1;
+  pages_.assign(table, Page{});
+  page_mask_ = table - 1;
+  candidates_.reserve(std::size_t{device_.banks} * kCandidatesPerBank);
+  candidate_pos_.assign(std::size_t{device_.banks} * kCandidatesPerBank, kNoSlot);
+  stale_.assign((device_.banks + 63) / 64, 0);
+  floors_.assign(std::size_t{device_.bank_groups} * 4, 0);
 
   switch (refresh_mode_) {
     case RefreshMode::Disabled:
@@ -202,8 +207,6 @@ Ps Controller::close_bank(std::uint32_t bank_id, PhaseStats& stats) {
   Bank& b = banks_[bank_id];
   assert(b.open);
   const Ps pre_t = std::max(b.pre_ready, b.last_act + device_.timing.tRAS);
-  queued_hits_ -= row_count_get(row_key(bank_id, b.row, false)) +
-                  row_count_get(row_key(bank_id, b.row, true));
   b.open = false;
   b.act_ready = std::max(b.act_ready, pre_t + device_.timing.tRP);
   b.ref_ready = std::max(b.ref_ready, pre_t + device_.timing.tRP);
@@ -236,8 +239,6 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
       break;
     case RowBufferResult::Conflict: {
       ++stats.row_conflicts;
-      queued_hits_ -= row_count_get(row_key(bank_id, b.row, false)) +
-                      row_count_get(row_key(bank_id, b.row, true));
       b.open = false;
       b.act_ready = std::max(b.act_ready, plan.pre_t + t.tRP);
       b.ref_ready = std::max(b.ref_ready, plan.pre_t + t.tRP);
@@ -249,8 +250,6 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
       if (plan.kind == RowBufferResult::Miss) ++stats.row_misses;
       b.open = true;
       b.row = req.addr.row;
-      queued_hits_ += row_count_get(row_key(bank_id, b.row, false)) +
-                      row_count_get(row_key(bank_id, b.row, true));
       b.last_act = plan.act_t;
       b.act_ready = plan.act_t + t.tRC;
       b.rdwr_ready = plan.act_t + t.tRCD;
@@ -282,6 +281,7 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
   if (stats.bursts == 1) stats.start = plan.data_start;
   stats.end = plan.data_end;
   now_ = std::max(now_, plan.data_end);
+  mark_stale(bank_id);
 
   emit(Command{.kind = req.is_write ? CommandKind::Wr : CommandKind::Rd,
                .issue = plan.cas_t,
@@ -292,48 +292,58 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
                .data_end = plan.data_end});
 }
 
-std::size_t Controller::row_slot(std::uint64_t key) const {
+std::size_t Controller::page_slot(std::uint64_t key) const {
   // Fibonacci hashing: one multiply, top bits. The keys are structured
   // (bank | row | dir) and the golden-ratio multiply spreads consecutive
   // rows well enough for short linear-probe chains at 4x slack.
   const std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
-  return static_cast<std::size_t>(h >> 32) & row_mask_;
+  return static_cast<std::size_t>(h >> 32) & page_mask_;
 }
 
-void Controller::row_count_add(std::uint64_t key) {
-  std::size_t i = row_slot(key);
-  while (row_counts_[i].key != key && row_counts_[i].key != kEmptyKey) {
-    i = (i + 1) & row_mask_;
+bool Controller::page_add(std::uint64_t key, std::uint32_t slot_id) {
+  std::size_t i = page_slot(key);
+  while (pages_[i].key != key && pages_[i].key != kEmptyKey) {
+    i = (i + 1) & page_mask_;
   }
-  row_counts_[i].key = key;
-  ++row_counts_[i].count;
+  Page& page = pages_[i];
+  page.key = key;
+  page_prev_[slot_id] = page.list.tail;
+  page_next_[slot_id] = kNoSlot;
+  (page.list.tail != kNoSlot ? page_next_[page.list.tail] : page.list.head) = slot_id;
+  page.list.tail = slot_id;
+  return page.list.head == slot_id;
 }
 
-void Controller::row_count_remove(std::uint64_t key) {
-  std::size_t i = row_slot(key);
-  while (row_counts_[i].key != key) i = (i + 1) & row_mask_;
-  if (--row_counts_[i].count > 0) return;
+void Controller::page_remove(std::uint64_t key, std::uint32_t slot_id) {
+  std::size_t i = page_slot(key);
+  while (pages_[i].key != key) i = (i + 1) & page_mask_;
+  List& list = pages_[i].list;
+  const std::uint32_t pn = page_next_[slot_id];
+  const std::uint32_t pp = page_prev_[slot_id];
+  (pp != kNoSlot ? page_next_[pp] : list.head) = pn;
+  (pn != kNoSlot ? page_prev_[pn] : list.tail) = pp;
+  if (list.head != kNoSlot) return;
   // Backward-shift deletion keeps probe chains tombstone-free.
   std::size_t j = i;
   for (;;) {
-    j = (j + 1) & row_mask_;
-    if (row_counts_[j].key == kEmptyKey) break;
-    const std::size_t ideal = row_slot(row_counts_[j].key);
-    if (((j - ideal) & row_mask_) >= ((j - i) & row_mask_)) {
-      row_counts_[i] = row_counts_[j];
+    j = (j + 1) & page_mask_;
+    if (pages_[j].key == kEmptyKey) break;
+    const std::size_t ideal = page_slot(pages_[j].key);
+    if (((j - ideal) & page_mask_) >= ((j - i) & page_mask_)) {
+      pages_[i] = pages_[j];
       i = j;
     }
   }
-  row_counts_[i] = RowCountEntry{};
+  pages_[i] = Page{};
 }
 
-std::uint32_t Controller::row_count_get(std::uint64_t key) const {
-  std::size_t i = row_slot(key);
-  while (row_counts_[i].key != kEmptyKey) {
-    if (row_counts_[i].key == key) return row_counts_[i].count;
-    i = (i + 1) & row_mask_;
+std::uint32_t Controller::page_head(std::uint64_t key) const {
+  std::size_t i = page_slot(key);
+  while (pages_[i].key != kEmptyKey) {
+    if (pages_[i].key == key) return pages_[i].list.head;
+    i = (i + 1) & page_mask_;
   }
-  return 0;
+  return kNoSlot;
 }
 
 std::uint32_t Controller::enqueue(const Request& req) {
@@ -344,28 +354,30 @@ std::uint32_t Controller::enqueue(const Request& req) {
 
   fifo_prev_[id] = fifo_tail_;
   fifo_next_[id] = kNoSlot;
-  if (fifo_tail_ != kNoSlot) {
-    fifo_next_[fifo_tail_] = id;
-  } else {
-    fifo_head_ = id;
-  }
+  (fifo_tail_ != kNoSlot ? fifo_next_[fifo_tail_] : fifo_head_) = id;
   fifo_tail_ = id;
 
-  Bin& bin = bins_[req.addr.bank];
-  bank_prev_[id] = bin.tail;
-  bank_next_[id] = kNoSlot;
-  if (bin.tail != kNoSlot) {
-    bank_next_[bin.tail] = id;
-  } else {
-    bin.head = id;
-    populated_[req.addr.bank >> 6] |= std::uint64_t{1} << (req.addr.bank & 63);
-  }
+  const std::uint32_t bank_id = req.addr.bank;
+  const std::uint32_t dir = req.is_write ? 1 : 0;
+  List& bin = bins_[bank_id * 2 + dir];
+  const bool bin_head = bin.head == kNoSlot;
+  bin_prev_[id] = bin.tail;
+  bin_next_[id] = kNoSlot;
+  (bin.tail != kNoSlot ? bin_next_[bin.tail] : bin.head) = id;
   bin.tail = id;
-  ++bin.total[req.is_write ? 1 : 0];
-  ++queued_per_group_[group_of_[req.addr.bank]][req.is_write ? 1 : 0];
-  row_count_add(row_key(req.addr.bank, req.addr.row, req.is_write));
-  const Bank& b = banks_[req.addr.bank];
-  if (b.open && b.row == req.addr.row) ++queued_hits_;
+  ++queued_per_group_[group_of_[bank_id]][dir];
+  const bool page_head = page_add(page_key(bank_id, req.addr.row, req.is_write), id);
+  // Bank state is unchanged, so a current bank's candidates are updated
+  // in place: a new request is one only as the oldest of its bin, or as
+  // the first row hit behind a conflict head (a hit head shares its page).
+  const Bank& b = banks_[bank_id];
+  const bool hit = b.open && b.row == req.addr.row;
+  if (!is_stale(bank_id) && (bin_head || (page_head && hit))) {
+    const Ps latency = req.is_write ? device_.timing.CWL : device_.timing.CL;
+    set_candidate(bank_id * kCandidatesPerBank + dir * 2 + (hit ? 1 : 0), id,
+                  (hit ? b.rdwr_ready : act_chain(b)) + latency,
+                  group_of_[bank_id] * 4 + dir * 2 + (hit ? 0 : 1));
+  }
   return id;
 }
 
@@ -376,221 +388,144 @@ void Controller::dequeue(std::uint32_t slot_id) {
   (fn != kNoSlot ? fifo_prev_[fn] : fifo_tail_) = fp;
 
   const Request& req = slots_[slot_id];
-  Bin& bin = bins_[req.addr.bank];
-  const std::uint32_t bn = bank_next_[slot_id];
-  const std::uint32_t bp = bank_prev_[slot_id];
-  (bp != kNoSlot ? bank_next_[bp] : bin.head) = bn;
-  (bn != kNoSlot ? bank_prev_[bn] : bin.tail) = bp;
-  if (bin.head == kNoSlot) {
-    populated_[req.addr.bank >> 6] &= ~(std::uint64_t{1} << (req.addr.bank & 63));
-  }
-  --bin.total[req.is_write ? 1 : 0];
+  List& bin = bins_[req.addr.bank * 2 + (req.is_write ? 1 : 0)];
+  const std::uint32_t bn = bin_next_[slot_id];
+  const std::uint32_t bp = bin_prev_[slot_id];
+  (bp != kNoSlot ? bin_next_[bp] : bin.head) = bn;
+  (bn != kNoSlot ? bin_prev_[bn] : bin.tail) = bp;
   --queued_per_group_[group_of_[req.addr.bank]][req.is_write ? 1 : 0];
-  row_count_remove(row_key(req.addr.bank, req.addr.row, req.is_write));
-  const Bank& b = banks_[req.addr.bank];
-  if (b.open && b.row == req.addr.row) --queued_hits_;
+  page_remove(page_key(req.addr.bank, req.addr.row, req.is_write), slot_id);
+  mark_stale(req.addr.bank);
 
   free_slots_.push_back(slot_id);
 }
 
-Ps Controller::pick_bound() const {
-  // E = min over populated (bank group, direction) classes of the
-  // group-global data-slot floor. Every term is a floor that
-  // plan_class() applies to every request of that group and direction,
-  // so no queued request can start earlier. Using each group's own
-  // CAS-rate state (instead of the loosest group's) makes the floor
-  // exact whenever the winner is rate- rather than bank-limited — the
-  // steady state of every paper workload. When no queued request hits
-  // an open row, every plan additionally carries an ACT, so the group's
-  // ACT-rate floor (tRRD / four-activate window) plus tRCD tightens the
-  // bound further — the ACT-limited conflict-chain regimes.
+void Controller::set_candidate(std::uint32_t id, std::uint32_t slot_id, Ps local,
+                               std::uint32_t floor) {
+  std::uint32_t& pos = candidate_pos_[id];
+  if (pos != kNoSlot) {
+    if ((candidates_[pos].floor & 1) == 0) --hit_candidates_;
+    if (slot_id == kNoSlot) {
+      candidates_[pos] = candidates_.back();
+      candidate_pos_[candidates_[pos].id] = pos;
+      candidates_.pop_back();
+      pos = kNoSlot;
+      return;
+    }
+  } else {
+    if (slot_id == kNoSlot) return;
+    pos = static_cast<std::uint32_t>(candidates_.size());
+    candidates_.emplace_back();
+  }
+  if ((floor & 1) == 0) ++hit_candidates_;
+  candidates_[pos] = Candidate{local, slots_[slot_id].seq, slot_id, floor, id};
+}
+
+Ps Controller::act_chain(const Bank& b) const {
+  // A miss waits for the bank's act_ready; a conflict also for its PRE
+  // (tRAS after the open row's ACT) plus tRP. A hit waits only for
+  // rdwr_ready = last_act + tRCD, never later than this.
+  const TimingParams& t = device_.timing;
+  Ps act = b.act_ready;
+  if (b.open) act = std::max(act, std::max(b.pre_ready, b.last_act + t.tRAS) + t.tRP);
+  return act + t.tRCD;
+}
+
+void Controller::refresh_stale() {
+  const TimingParams& t = device_.timing;
+  for (std::size_t w = 0; w < stale_.size(); ++w) {
+    for (std::uint64_t word = stale_[w]; word != 0; word &= word - 1) {
+      const auto bank_id = static_cast<std::uint32_t>(w * 64 + std::countr_zero(word));
+      const Bank& b = banks_[bank_id];
+      const Ps act_local = act_chain(b);
+      for (std::uint32_t dir = 0; dir < 2; ++dir) {
+        const std::uint32_t head = bins_[bank_id * 2 + dir].head;
+        std::uint32_t hit = kNoSlot;
+        if (head != kNoSlot && b.open) {
+          hit = slots_[head].addr.row == b.row ? head
+                                               : page_head(page_key(bank_id, b.row, dir != 0));
+        }
+        const Ps latency = dir != 0 ? t.CWL : t.CL;
+        const std::uint32_t id = bank_id * kCandidatesPerBank + dir * 2;
+        const std::uint32_t floor = group_of_[bank_id] * 4 + dir * 2;
+        set_candidate(id, hit == head ? kNoSlot : head, act_local + latency, floor + 1);
+        set_candidate(id + 1, hit, b.rdwr_ready + latency, floor);
+      }
+    }
+    stale_[w] = 0;
+  }
+}
+
+Ps Controller::update_floors() {
+  // floors_[g * 4 + dir * 2 + needs_act] is the part of plan_class()'s
+  // data_start that every request of bank group g and direction dir
+  // shares: bus availability, the CAS-rate and W->R floors plus CAS
+  // latency, and for a request that needs an ACT the ACT-rate floor
+  // (tRRD / four-activate window) plus tRCD. E is the smallest floor of
+  // any queued class, using the ACT floors when no queued request hits
+  // an open row; each group's own CAS-rate state makes E exact whenever
+  // the winner is rate- rather than bank-limited.
   const TimingParams& t = device_.timing;
   const Ps cas_any = last_cas_any_ + t.tCCD_S;
-  Ps act_any = kNegInf;
-  if (queued_hits_ == 0) {
-    act_any = last_act_any_ + t.tRRD_S;
-    if (faw_len_ == 4) act_any = std::max(act_any, faw_[faw_head_] + t.tFAW);
-  }
+  Ps act_any = last_act_any_ + t.tRRD_S;
+  if (faw_len_ == 4) act_any = std::max(act_any, faw_[faw_head_] + t.tFAW);
   const Ps wtr_floor = last_wr_data_end_ + t.tWTR;
   Ps bus_w = bus_free_;
   if (!last_burst_was_write_) {
     bus_w = std::max(bus_w, last_rd_data_end_ + t.tRTW_bubble);
   }
+  const unsigned bound_act = hit_candidates_ == 0 ? 1 : 0;
 
   Ps bound = std::numeric_limits<Ps>::max();
   for (std::size_t g = 0; g < queued_per_group_.size(); ++g) {
     const auto& queued = queued_per_group_[g];
     if (queued[0] == 0 && queued[1] == 0) continue;
-    Ps cas_g = std::max(cas_any, last_cas_in_group_[g] + t.tCCD_L);
-    if (queued_hits_ == 0) {
-      const Ps act_g =
-          std::max(act_any, last_act_in_group_[g] + t.tRRD_L);
-      cas_g = std::max(cas_g, act_g + t.tRCD);
-    }
-    if (queued[0] > 0) {  // reads
-      const Ps cas_r = std::max(cas_g, wtr_floor);
-      bound = std::min(bound, std::max(bus_free_, cas_r + t.CL));
-    }
-    if (queued[1] > 0) {  // writes
-      bound = std::min(bound, std::max(bus_w, cas_g + t.CWL));
-    }
+    const Ps cas_g = std::max(cas_any, last_cas_in_group_[g] + t.tCCD_L);
+    const Ps act_g = std::max(act_any, last_act_in_group_[g] + t.tRRD_L) + t.tRCD;
+    Ps* f = &floors_[g * 4];
+    f[0] = std::max(bus_free_, std::max(cas_g, wtr_floor) + t.CL);
+    f[1] = std::max(f[0], act_g + t.CL);
+    f[2] = std::max(bus_w, cas_g + t.CWL);
+    f[3] = std::max(f[2], act_g + t.CWL);
+    if (queued[0] > 0) bound = std::min(bound, f[bound_act]);
+    if (queued[1] > 0) bound = std::min(bound, f[2 + bound_act]);
   }
   return bound;
 }
 
-#ifdef TBI_PICK_STATS
-namespace {
-struct PickStats {
-  unsigned long long picks = 0, fast_exits = 0, fallback_banks = 0, plans = 0;
-  unsigned long long exit_step[17] = {};
-  ~PickStats() {
-    std::fprintf(stderr,
-                 "picks %llu fast %llu (%.1f%%) fallback-banks/pick %.2f "
-                 "plans/pick %.2f\n",
-                 picks, fast_exits, 100.0 * fast_exits / picks,
-                 double(fallback_banks) / picks, double(plans) / picks);
-    for (int i = 0; i < 17; ++i)
-      if (exit_step[i])
-        std::fprintf(stderr, "  exit@walk%d: %.1f%%\n", i,
-                     100.0 * exit_step[i] / picks);
-  }
-} g_pick_stats;
-}  // namespace
-#define PICK_STAT(field, n) (g_pick_stats.field += (n))
-#else
-#define PICK_STAT(field, n) ((void)0)
-#endif
-
-std::uint32_t Controller::pick_fr_fcfs(Plan& plan_out) const {
+std::uint32_t Controller::pick_fr_fcfs(Plan& plan_out) {
   assert(fifo_head_ != kNoSlot);
-  // Fast path: walk the oldest few requests in age order and compare
-  // each Plan against the global floor E (pick_bound). data_start >= E
-  // for every queued request, so the first — i.e. oldest — request
-  // landing on the floor is unbeatable: nothing can be earlier, and it
-  // wins every tie by age. In steady state (bus- or rate-limited, the
-  // regime of every paper workload) some front-of-queue request sits on
-  // the floor and the pick resolves after one or two Plans. Consecutive
-  // classmates (same bank, outcome, direction) share a Plan and lose the
-  // age tie-break, so runs of them — the single-bank conflict-chain
-  // regime — cost one classify() each, not a replan.
-  constexpr unsigned kWalkLimit = 8;
-  PICK_STAT(picks, 1);
-  // Nothing can start before the current end of the bus schedule, so a
-  // head request landing exactly there wins outright — without even
-  // computing the full floor. This is the saturated-bus steady state.
+  // Two O(1) exits for the oldest request: nothing can start before the
+  // current end of the bus schedule — the saturated-bus steady state —
+  // or before E, and the oldest request wins every tie by age.
   const Request& head = slots_[fifo_head_];
   const RowBufferResult head_kind = classify(head);
-  if (fifo_next_[fifo_head_] == kNoSlot) {  // single-element queue
-    PICK_STAT(fast_exits, 1);
-    plan_out = plan_class(head.addr.bank, head_kind, head.is_write);
-    return fifo_head_;
-  }
-  const Ps head_ds = eval_class(head.addr.bank, head_kind, head.is_write);
-  if (head_ds <= bus_free_) {
-    PICK_STAT(fast_exits, 1);
-    PICK_STAT(exit_step[0], 1);
-    plan_out = plan_class(head.addr.bank, head_kind, head.is_write);
-    return fifo_head_;
-  }
-  const Ps bound = pick_bound();
-  if (head_ds <= bound) {  // oldest on the floor: unbeatable
-    PICK_STAT(fast_exits, 1);
-    PICK_STAT(exit_step[0], 1);
-    plan_out = plan_class(head.addr.bank, head_kind, head.is_write);
-    return fifo_head_;
-  }
-  std::uint32_t best = fifo_head_;
-  Ps best_slot = head_ds;
-  std::uint64_t best_seq = head.seq;
-  std::uint32_t prev_bank = head.addr.bank;
-  unsigned prev_class = class_index(head_kind, head.is_write);
-  std::uint32_t id = fifo_next_[fifo_head_];
-  for (unsigned walked = 1; walked < kWalkLimit && id != kNoSlot;
-       ++walked, id = fifo_next_[id]) {
-    const Request& r = slots_[id];
-    const RowBufferResult kind = classify(r);
-    const unsigned cls = class_index(kind, r.is_write);
-    if (r.addr.bank == prev_bank && cls == prev_class) continue;
-    prev_bank = r.addr.bank;
-    prev_class = cls;
-    const Ps ds = eval_class(r.addr.bank, kind, r.is_write);
-    PICK_STAT(plans, 1);
-    if (ds < best_slot) {  // age order: ties keep the older
-      best_slot = ds;
-      best_seq = r.seq;
-      best = id;
-      if (best_slot <= bound) {
-        PICK_STAT(fast_exits, 1);
-        PICK_STAT(exit_step[walked > 16 ? 16 : walked], 1);
-        plan_out = plan_class(r.addr.bank, kind, r.is_write);
-        return best;
-      }
+  if (fifo_next_[fifo_head_] != kNoSlot) {
+    const Ps head_ds = eval_class(head.addr.bank, head_kind, head.is_write);
+    if (head_ds > bus_free_) {
+      refresh_stale();
+      if (head_ds > update_floors()) return fold_candidates(plan_out);
     }
   }
-  if (id == kNoSlot) {  // the walk covered the whole queue
-    plan_out = plan_request(slots_[best]);
-    return best;
-  }
+  plan_out = plan_class(head.addr.bank, head_kind, head.is_write);
+  return fifo_head_;
+}
 
-  // Fallback: only the oldest queued request of each (bank, outcome,
-  // direction) class can win — classmates share one Plan and lose the
-  // age tie-break. Which classes are populated follows in O(1) from the
-  // membership counts and the bank's open row, and each bin scan stops
-  // once every populated class produced its oldest member, so the fold
-  // is O(banks with queued work) instead of O(queue_depth). Re-planning
-  // a class the walk already folded is harmless: it reproduces the same
-  // (data_start, seq) and loses the strict comparison.
-  for (std::size_t w = 0; w < populated_.size(); ++w) {
-  for (std::uint64_t word = populated_[w]; word != 0; word &= word - 1) {
-    const std::uint32_t bank =
-        static_cast<std::uint32_t>(w * 64) +
-        static_cast<std::uint32_t>(std::countr_zero(word));
-    const Bin& bin = bins_[bank];
-    PICK_STAT(fallback_banks, 1);
-    // Once some candidate reached the floor, plans strictly below it are
-    // impossible and ties lose to age: a bank whose oldest request is
-    // younger than the incumbent cannot win.
-    if (best_slot <= bound && slots_[bin.head].seq > best_seq) continue;
-    const Bank& b = banks_[bank];
-    // Every class of this bank starts at or after rdwr_ready + CAS
-    // latency (an ACT chain only pushes later), so a bank strictly above
-    // the incumbent cannot win or tie.
-    const Ps lat_min = std::min(device_.timing.CL, device_.timing.CWL);
-    if (b.rdwr_ready + lat_min > best_slot) continue;
-    unsigned present = 0;
-    if (!b.open) {
-      for (unsigned dir = 0; dir < 2; ++dir) {
-        if (bin.total[dir] > 0) {
-          present |= 1u << class_index(RowBufferResult::Miss, dir != 0);
-        }
-      }
-    } else {
-      for (unsigned dir = 0; dir < 2; ++dir) {
-        if (bin.total[dir] == 0) continue;
-        const std::uint32_t hits = row_count_get(row_key(bank, b.row, dir != 0));
-        if (hits > 0) present |= 1u << class_index(RowBufferResult::Hit, dir != 0);
-        if (bin.total[dir] > hits) {
-          present |= 1u << class_index(RowBufferResult::Conflict, dir != 0);
-        }
-      }
-    }
-    for (std::uint32_t cand = bin.head; cand != kNoSlot && present != 0;
-         cand = bank_next_[cand]) {
-      const Request& r = slots_[cand];
-      const RowBufferResult kind = classify(r);
-      const unsigned c = class_index(kind, r.is_write);
-      if ((present & (1u << c)) == 0) continue;
-      present &= ~(1u << c);
-      PICK_STAT(plans, 1);
-      const Ps ds = eval_class(bank, kind, r.is_write);
-      if (ds < best_slot || (ds == best_slot && r.seq < best_seq)) {
-        best_slot = ds;
-        best_seq = r.seq;
-        best = cand;
-      }
-    }
+std::uint32_t Controller::fold_candidates(Plan& plan_out) const {
+  // (data_start, seq) as one 128-bit key: data_start >= bus_free_ >= 0 and
+  // seq is unique, so the minimum is tie-free. Branch-free, because which
+  // entry wins is data-dependent and unpredictable.
+  using Key = unsigned __int128;
+  Key best_key = ~Key{0};
+  std::uint32_t best = kNoSlot;
+  for (const Candidate& c : candidates_) {
+    const Ps ds = std::max(c.local, floors_[c.floor]);
+    const Key key = (Key{static_cast<std::uint64_t>(ds)} << 64) | c.seq;
+    const std::uint32_t take = 0u - static_cast<std::uint32_t>(key < best_key);
+    best_key = std::min(best_key, key);
+    best ^= (best ^ c.slot) & take;
   }
-  }
+  assert(best != kNoSlot);  // every non-empty bin has a candidate
   plan_out = plan_request(slots_[best]);
   return best;
 }
@@ -626,8 +561,9 @@ void Controller::do_refresh(PhaseStats& stats) {
       ready = std::max(ready, banks_[i].ref_ready);
     }
     ready = std::max(ready, last_refresh_ + t.tRFC_ab);
-    for (auto& b : banks_) {
-      b.act_ready = std::max(b.act_ready, ready + t.tRFC_ab);
+    for (std::uint32_t i = 0; i < device_.banks; ++i) {
+      banks_[i].act_ready = std::max(banks_[i].act_ready, ready + t.tRFC_ab);
+      mark_stale(i);
     }
     emit(Command{.kind = CommandKind::RefAb, .issue = ready});
   } else {
@@ -647,6 +583,7 @@ void Controller::do_refresh(PhaseStats& stats) {
     for (std::uint32_t i = 0; i < device_.banks; ++i) {
       if (is_member(i)) {
         banks_[i].act_ready = std::max(banks_[i].act_ready, ready + t.tRFC_grp);
+        mark_stale(i);
       }
     }
     emit(Command{.kind = CommandKind::RefGrp, .issue = ready, .bank = group});

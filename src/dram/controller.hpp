@@ -11,46 +11,49 @@
 /// configurations in seconds.
 ///
 /// Incremental FR-FCFS (design note). The earliest-data-slot pick needs
-/// the earliest-legal Plan of every queued request, but a full replan of
+/// the earliest-legal data_start of every queued request, but replanning
 /// the whole queue per burst is O(queue_depth) and dominates paper-scale
-/// runs. The scheduler instead exploits two structural facts of the
-/// timing model:
+/// runs. The pick instead folds a per-bank candidate table of at most
+/// four entries, built on two facts of the timing model:
 ///
-///  1. Class sharing. A request's Plan depends only on (bank, row-buffer
-///     outcome, direction) plus global bus/CAS/ACT-rate state — never on
-///     its row or column — so all queued requests of one bank with the
-///     same outcome and direction share one Plan, and only the *oldest*
-///     member of each such class can win the pick (ties go to age).
-///     Requests are binned per bank on intrusive arrival-ordered lists,
-///     and a pick evaluates at most one Plan per populated class.
-///  2. A computable global floor. Every Plan of direction d satisfies
-///     data_start >= E(d) = max(bus availability, global CAS-rate floor
-///     + CAS latency), a bound built purely from rank-global state in
-///     O(1). The globally oldest request is planned first; if it lands
-///     on the floor it is unbeatable — nothing can be earlier and it
-///     wins every tie — so the steady-state pick costs ONE Plan. Only
-///     when bank-local chains (tRP/tRCD/tRAS) push the oldest request
-///     off the floor does the pick fall back to the per-bank class scan,
-///     which again prunes with the floor: once some candidate reaches
-///     E, a bank whose oldest request is younger cannot win and is
-///     skipped without planning.
+///  1. Dominance inside one (bank, direction). Each bank keeps one
+///     arrival-ordered list per direction. While a bank is open,
+///     rdwr_ready == last_act + tRCD, and a conflict needs a PRE no
+///     earlier than last_act + tRAS, then tRP and tRCD, plus an ACT that
+///     only adds rate floors — so a conflict's data_start is never
+///     earlier than a hit's of the same bank and direction, and requests
+///     of one (bank, outcome, direction) class share one data_start.
+///     Only two requests of a list can win the age-tie-broken minimum:
+///     the oldest request of the list, and — only when that oldest
+///     request is a conflict — the oldest row hit, which is the head of
+///     the (bank, open row, direction) page list. Both are found in O(1).
+///  2. Decomposition. data_start = max(bank-local term,
+///     floor[bank group][direction][hit | needs ACT]). The bank-local
+///     term (rdwr_ready, or the bank's ACT chain plus tRCD, plus CL or
+///     CWL) changes only when the bank commits, when its queue changes or
+///     when a refresh touches it. Each candidate stores it with its floor
+///     index: enqueue updates a bank's entries in place, and a dequeue,
+///     commit or refresh marks the bank stale so that the next pick that
+///     reads the table rebuilds it. The floors are built from bus,
+///     CAS-rate, W->R and ACT-rate state, which changes on every commit,
+///     so a pick computes them once (4 per bank group with queued work),
+///     folds the table with max() and a lexicographic (data_start, seq)
+///     compare, and re-plans only the winner.
 ///
-/// Cache and invalidation rules: which classes are populated is tracked
-/// by state-independent membership counts — per-bin totals per direction
-/// plus an exact (bank, row, direction) count table — updated only on
-/// enqueue/dequeue and never invalidated, because a committed command
-/// changes a bank's *open row*, not which rows the queued requests
-/// target. Comparing a bin's counts against its bank's open row yields
-/// the populated classes in O(1) (e.g. zero requests for the open row
-/// proves there is no hit without touching the bin). Global bus/CAS/ACT
-/// state changes on *every* commit, but it enters the Plan through a
-/// handful of max() terms, so it is folded in fresh, in O(1) per
-/// evaluated class, at pick time rather than invalidating anything.
-/// A pick is thus O(1) in steady state and O(banks with queued work)
-/// in the worst case, not O(queue_depth), and the command stream is
-/// bit-identical to the brute-force scan (Policy::FrFcfsOracle keeps the
-/// replan-everything reference; a randomized test asserts equivalence on
-/// DDR4/DDR5/LPDDR4).
+/// Two O(1) exits come first: the globally oldest request wins outright
+/// when it lands on the bus-free time or on E = the smallest floor of any
+/// queued (group, direction) class, because nothing can start earlier
+/// and it wins every tie. The fold replaces an earlier 8-step age walk
+/// plus per-bank bin-scan fallback: counters on that version (one traced
+/// perfbench pass, seed 1) showed 36.8 % of dram-table1 picks and 72.2 %
+/// of the LPDDR5-8533 fer-fade DRAM-stage picks falling through to the
+/// fallback, each visiting 14.7 banks on dram-table1, at 8.5 class
+/// evaluations per pick overall. A pick is O(banks with queued work), not
+/// O(queue_depth), and the command stream is bit-identical to the
+/// brute-force scan (Policy::FrFcfsOracle keeps the replan-everything
+/// reference; tests/dram/test_scheduler_equivalence.cpp asserts
+/// equivalence on every standard device, refresh mode and interleaver
+/// stream shape).
 ///
 /// Fidelity notes (DESIGN.md §5): per-bank row state, bank-group-aware
 /// tCCD/tRRD, the four-activate window, rank-level write-to-read
@@ -140,45 +143,49 @@ class Controller {
     Ps data_end = 0;
   };
 
-  /// Per-bank view of the queue for the incremental FR-FCFS pick: an
-  /// intrusive arrival-ordered list of the bank's queued slots plus
-  /// per-direction member totals. Which (outcome x direction) classes are
-  /// populated is derived in O(1) from the totals and the row-count table
-  /// (see the header design note), so the per-bin scan for class
-  /// representatives stops as soon as every populated class produced its
-  /// oldest member — one step in the common single-class regimes.
-  struct Bin {
-    std::uint32_t head = kNoSlot;          ///< oldest queued slot of this bank
+  /// One arrival-ordered list of queued slots: a (bank, direction) bin
+  /// or a (bank, row, direction) page.
+  struct List {
+    std::uint32_t head = kNoSlot;  ///< oldest member
     std::uint32_t tail = kNoSlot;
-    std::array<std::uint32_t, 2> total{};  ///< queued members per direction
   };
 
-  /// Open-addressing count table keyed by (bank, row, direction): how
-  /// many queued requests target that exact page. Membership counts do
-  /// not depend on bank state, so they are maintained incrementally on
-  /// enqueue/dequeue only and never invalidated; the pick uses them to
-  /// prove the absence of row hits without scanning a bin. Linear
-  /// probing with backward-shift deletion; sized at 4x queue depth so
-  /// probe chains stay short.
-  struct RowCountEntry {
+  /// Open-addressing page table keyed by (bank, row, direction): the
+  /// arrival-ordered list of queued requests targeting that exact page,
+  /// so the oldest row hit of an open bank is one lookup. Entries exist
+  /// only while their list is non-empty. Linear probing with
+  /// backward-shift deletion; sized at 4x queue depth so probe chains
+  /// stay short.
+  struct Page {
     std::uint64_t key = kEmptyKey;
-    std::uint32_t count = 0;
+    List list;
   };
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
-  static constexpr unsigned class_index(RowBufferResult kind, bool is_write) {
-    return static_cast<unsigned>(kind) * 2 + (is_write ? 1 : 0);
-  }
+  /// One entry of the FR-FCFS candidate table (see the header design
+  /// note): data_start = max(local, floors_[floor]). Each bank owns
+  /// kCandidatesPerBank entry ids, bank * 4 + dir * 2 + k: k = 0 is the
+  /// oldest request of the (bank, dir) bin when it needs an ACT, k = 1
+  /// the bin's oldest row hit. Live entries are packed densely so the
+  /// pick folds one flat array.
+  struct Candidate {
+    Ps local = 0;             ///< bank-local term, CAS latency included
+    std::uint64_t seq = 0;
+    std::uint32_t slot = kNoSlot;
+    std::uint32_t floor = 0;  ///< bank group * 4 + direction * 2 + needs ACT
+    std::uint32_t id = 0;     ///< owning entry id
+  };
+  static constexpr unsigned kCandidatesPerBank = 4;
 
   RowBufferResult classify(const Request& req) const;
   /// Earliest-legal Plan for any (bank, outcome, direction) class; the
   /// single source of scheduling truth shared by all policies.
   Plan plan_class(std::uint32_t bank_id, RowBufferResult kind, bool is_write) const;
-  /// data_start of plan_class() alone — the pick's comparison key —
-  /// without materializing the Plan. The winner is re-planned in full
-  /// exactly once per pick.
+  /// data_start of plan_class() alone — the pick's exit test for the
+  /// oldest request — without materializing the Plan.
   Ps eval_class(std::uint32_t bank_id, RowBufferResult kind, bool is_write) const;
   Plan plan_request(const Request& req) const;
+  /// Applies the plan; the committed request must already be dequeued.
   void commit(const Request& req, const Plan& plan, PhaseStats& stats);
   void refresh_if_due(PhaseStats& stats);
   void do_refresh(PhaseStats& stats);
@@ -187,24 +194,46 @@ class Controller {
   Ps earliest_act_after(Ps floor, std::uint32_t bank_id) const;
   void emit(const Command& cmd);
 
-  // Queue management (slot arena + arrival FIFO + per-bank bins).
+  // Queue management (slot arena + arrival FIFO + bins + pages).
   std::uint32_t enqueue(const Request& req);
   void dequeue(std::uint32_t slot_id);
-  /// E = min over queued directions of the global data-slot floor (see
-  /// the header design note): no queued request can start earlier.
-  Ps pick_bound() const;
-  std::uint32_t pick_fr_fcfs(Plan& plan_out) const;
+  /// Point candidate entry \p id at \p slot_id, or empty it for kNoSlot.
+  void set_candidate(std::uint32_t id, std::uint32_t slot_id, Ps local,
+                     std::uint32_t floor);
+  /// Flag \p bank_id's candidates for a rebuild before the next table
+  /// read: a dequeue, a commit or a refresh changed the bank.
+  void mark_stale(std::uint32_t bank_id) {
+    stale_[bank_id >> 6] |= std::uint64_t{1} << (bank_id & 63);
+  }
+  bool is_stale(std::uint32_t bank_id) const {
+    return (stale_[bank_id >> 6] >> (bank_id & 63)) & 1;
+  }
+  /// Bank-local term of a request that needs an ACT, without CAS latency:
+  /// its ACT chain plus tRCD.
+  Ps act_chain(const Bank& b) const;
+  /// Rebuild the candidates of every stale bank from its bins, pages and
+  /// bank state.
+  void refresh_stale();
+  /// Fill floors_ for every bank group with queued work and return E, the
+  /// smallest floor of any queued (group, direction) class: no queued
+  /// request can start earlier.
+  Ps update_floors();
+  std::uint32_t pick_fr_fcfs(Plan& plan_out);
+  /// The table's (data_start, seq) minimum; floors_ must be current.
+  std::uint32_t fold_candidates(Plan& plan_out) const;
   std::uint32_t pick_fr_fcfs_oracle(Plan& plan_out) const;
 
-  // Row-count table primitives.
-  static std::uint64_t row_key(std::uint32_t bank, std::uint32_t row, bool is_write) {
+  // Page table primitives.
+  static std::uint64_t page_key(std::uint32_t bank, std::uint32_t row, bool is_write) {
     return (static_cast<std::uint64_t>(bank) << 33) |
            (static_cast<std::uint64_t>(row) << 1) | (is_write ? 1 : 0);
   }
-  std::size_t row_slot(std::uint64_t key) const;
-  void row_count_add(std::uint64_t key);
-  void row_count_remove(std::uint64_t key);
-  std::uint32_t row_count_get(std::uint64_t key) const;
+  std::size_t page_slot(std::uint64_t key) const;
+  /// Append \p slot_id to the page; true when it is the page's oldest.
+  bool page_add(std::uint64_t key, std::uint32_t slot_id);
+  void page_remove(std::uint64_t key, std::uint32_t slot_id);
+  /// Oldest queued slot of the page, or kNoSlot.
+  std::uint32_t page_head(std::uint64_t key) const;
 
   DeviceConfig device_;
   ControllerConfig config_;
@@ -234,32 +263,38 @@ class Controller {
   unsigned next_refresh_group_ = 0;
   Ps last_refresh_ = kNegInf;
 
-  // Scheduling queue: a fixed arena of requests threaded onto two
-  // intrusive doubly-linked lists — the global arrival FIFO and the
-  // owning bank's bin — so enqueue, dequeue and in-order iteration are
-  // all O(1) with no element movement at any queue depth.
+  // Scheduling queue: a fixed arena of requests threaded onto three
+  // intrusive doubly-linked lists — the global arrival FIFO, the owning
+  // (bank, direction) bin and the owning page — so enqueue, dequeue and
+  // in-order iteration are all O(1) with no element movement at any
+  // queue depth.
   std::vector<Request> slots_;               ///< fixed arena of queued requests
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint32_t> fifo_next_, fifo_prev_;
-  std::vector<std::uint32_t> bank_next_, bank_prev_;
+  std::vector<std::uint32_t> bin_next_, bin_prev_;
+  std::vector<std::uint32_t> page_next_, page_prev_;
   std::uint32_t fifo_head_ = kNoSlot;        ///< oldest queued slot
   std::uint32_t fifo_tail_ = kNoSlot;
-  std::vector<Bin> bins_;                    ///< one per bank
-  /// Bitmask of banks with a non-empty bin (64 banks per word); the
-  /// pick's fallback visits only set bits instead of scanning every bank.
-  std::vector<std::uint64_t> populated_;
-  std::vector<RowCountEntry> row_counts_;    ///< (bank, row, dir) -> queued count
-  std::size_t row_mask_ = 0;                 ///< row_counts_.size() - 1 (power of two)
-  /// Queued totals per (bank group, direction): lets the pick's floor use
-  /// each populated group's own CAS/ACT-rate state instead of the loosest
-  /// group's, which is what makes it exact in the steady state.
+  std::vector<List> bins_;                   ///< bank * 2 + direction
+  std::vector<Page> pages_;                  ///< (bank, row, dir) -> queued slots
+  std::size_t page_mask_ = 0;                ///< pages_.size() - 1 (power of two)
+  /// Queued totals per (bank group, direction): update_floors() skips
+  /// groups without work and E covers only queued classes.
   std::vector<std::array<std::uint32_t, 2>> queued_per_group_;
-  /// Number of queued requests that currently hit an open row. Updated on
-  /// enqueue/dequeue and on every open-row change (ACT/PRE/refresh).
-  /// When zero, every queued request needs an ACT, so the pick's floor
-  /// may include the global ACT-rate terms — the tight bound in the
+
+  // FR-FCFS candidate table (see the header design note).
+  std::vector<Candidate> candidates_;         ///< live entries, densely packed
+  std::vector<std::uint32_t> candidate_pos_;  ///< entry id -> index in candidates_
+  /// Bitmask of banks whose candidates are out of date (64 banks per
+  /// word). The rebuild is deferred to the pick, so picks that take the
+  /// bus-free exit — and the other policies — never pay for it.
+  std::vector<std::uint64_t> stale_;
+  /// Live candidates that hit an open row. A hit is queued exactly when
+  /// some bank has one, so when zero every queued request needs an ACT
+  /// and E may include the ACT-rate floors — the tight bound in the
   /// ACT-limited (conflict-chain) regimes.
-  std::uint32_t queued_hits_ = 0;
+  std::uint32_t hit_candidates_ = 0;
+  std::vector<Ps> floors_;                   ///< bank group * 4 + dir * 2 + needs ACT
   std::uint64_t next_seq_ = 0;
 };
 

@@ -34,6 +34,12 @@
 
 namespace tbi::sim {
 
+/// Largest Hello payload a pending connection may announce. A Hello is
+/// about 40 bytes of JSON; the frame header of an unauthenticated peer
+/// announcing more drops the connection before its payload is buffered
+/// or parsed.
+constexpr std::uint32_t kMaxHelloPayload = 4096;
+
 struct TcpTransportOptions {
   /// This run's sweep fingerprint (sim/manifest.hpp); a Hello carrying a
   /// different non-empty fingerprint is rejected.
@@ -68,7 +74,7 @@ class TcpTransport : public Transport {
  private:
   struct Pending {
     int fd = -1;
-    wire::FrameReader reader;
+    wire::FrameReader reader{kMaxHelloPayload};
     std::uint64_t deadline_ns = 0;
   };
 

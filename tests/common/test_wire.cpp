@@ -129,6 +129,22 @@ TEST_F(SocketPair, RejectsOversizeLength) {
   EXPECT_EQ(read_frame(reader(), r, &f), Status::Corrupt);
 }
 
+TEST_F(SocketPair, PerReaderBoundRejectsLongerPayloads) {
+  // A reader's own bound replaces kMaxPayload: a payload at the bound
+  // decodes, one byte more is corruption, flagged from the header alone.
+  const auto at_bound = encode_frame(FrameType::Hello, std::string(16, 'a'));
+  ASSERT_TRUE(write_all(writer(), at_bound.data(), at_bound.size()));
+  FrameReader r(16);
+  Frame f;
+  ASSERT_EQ(read_frame(reader(), r, &f), Status::Frame);
+  EXPECT_EQ(f.payload.size(), 16u);
+
+  const auto over = encode_frame(FrameType::Hello, std::string(17, 'a'));
+  ASSERT_TRUE(write_all(writer(), over.data(), kHeaderBytes));
+  EXPECT_EQ(read_frame(reader(), r, &f), Status::Corrupt);
+  EXPECT_TRUE(r.corrupt());
+}
+
 TEST_F(SocketPair, TruncatedFrameSurfacesAsEof) {
   const auto bytes = encode_frame(FrameType::Record, std::string("truncate-me"));
   // A worker that dies mid-write leaves half a frame; the reader must

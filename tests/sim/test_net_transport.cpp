@@ -9,6 +9,7 @@
 #include "sim/net_transport.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -337,6 +338,44 @@ TEST(TcpTransportHandshake, FreshAndMatchingWorkersAreQueuedForAdoption) {
   t.release(1, b);
   ::close(fresh);
   ::close(back);
+}
+
+TEST(TcpTransportHandshake, OversizeHelloHeaderDropsTheConnectionUnread) {
+  // An unauthenticated peer announcing a Hello past kMaxHelloPayload is
+  // dropped on the header alone: no Reject, no adoption, and long before
+  // the handshake timeout, so its payload is never buffered or parsed.
+  TcpTransportOptions topt;
+  topt.fingerprint = "feedface";
+  topt.handshake_timeout_ms = 60'000;
+  TcpTransport t("127.0.0.1:0", topt);
+
+  const int fd = dial(t);
+  const std::uint32_t len = kMaxHelloPayload + 1;
+  std::vector<std::uint8_t> header(wire::kHeaderBytes, 0);
+  for (int i = 0; i < 4; ++i) {
+    header[i] = static_cast<std::uint8_t>(wire::kMagic >> (8 * i));
+    header[5 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  header[4] = static_cast<std::uint8_t>(wire::FrameType::Hello);
+  ASSERT_TRUE(wire::write_all(fd, header.data(), header.size()));
+  const std::string some_payload(512, '{');
+  ASSERT_TRUE(wire::write_all(fd, reinterpret_cast<const std::uint8_t*>(some_payload.data()),
+                              some_payload.size()));
+
+  // Pump until the peer sees the close.
+  ASSERT_TRUE(pump_until(t, [fd] {
+    struct pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, 0) > 0;
+  }));
+  EXPECT_FALSE(t.busy());
+  EXPECT_EQ(t.rejected(), 0u);
+  EXPECT_EQ(t.adopted(), 0u);
+  EXPECT_EQ(t.acquire(0), -1);
+
+  wire::FrameReader r;
+  wire::Frame f;
+  EXPECT_EQ(wire::read_frame(fd, r, &f), wire::FrameReader::Status::Eof);
+  ::close(fd);
 }
 
 TEST(TcpTransportHandshake, SilentConnectionTimesOutWithoutPinningASlot) {

@@ -14,13 +14,13 @@ SymmetricChannel::SymmetricChannel(double error_probability, unsigned symbol_bit
   }
 }
 
-std::uint64_t SymmetricChannel::advance(std::uint8_t* data, std::uint64_t span,
-                                        Rng& rng) {
+std::uint64_t SymmetricChannel::advance(std::uint64_t span, Rng& rng,
+                                        EventSink sink) {
+  const std::uint64_t base = position();
   std::uint64_t corrupted = 0;
   for (std::uint64_t i = 0; i < span; ++i) {
     if (rng.bernoulli(p_)) {
-      const std::uint8_t flip = corrupt_flip(symbol_bits_, rng);
-      if (data != nullptr) data[i] ^= flip;
+      sink({base + i, corrupt_flip(symbol_bits_, rng)});
       ++corrupted;
     }
   }

@@ -34,8 +34,9 @@ double GilbertElliottChannel::stationary_bad() const {
   return denom > 0.0 ? params_.p_gb / denom : 0.0;
 }
 
-std::uint64_t GilbertElliottChannel::advance(std::uint8_t* data,
-                                             std::uint64_t span, Rng& rng) {
+std::uint64_t GilbertElliottChannel::advance(std::uint64_t span, Rng& rng,
+                                             EventSink sink) {
+  const std::uint64_t base = position();
   std::uint64_t corrupted = 0;
   for (std::uint64_t i = 0; i < span; ++i) {
     if (bad_) {
@@ -45,8 +46,7 @@ std::uint64_t GilbertElliottChannel::advance(std::uint8_t* data,
     }
     const double p = bad_ ? params_.error_bad : params_.error_good;
     if (p > 0.0 && rng.bernoulli(p)) {
-      const std::uint8_t flip = corrupt_flip(params_.symbol_bits, rng);
-      if (data != nullptr) data[i] ^= flip;
+      sink({base + i, corrupt_flip(params_.symbol_bits, rng)});
       ++corrupted;
     }
   }

@@ -993,7 +993,6 @@ Json fer_job_config(const SweepGrid& grid, const FerSweepOptions& options) {
   base["frames"] = static_cast<std::uint64_t>(b.frames);
   base["side"] = b.side;
   base["symbols_per_burst"] = b.symbols_per_burst;
-  base["stream_chunk_symbols"] = b.stream_chunk_symbols;
   base["error_probability"] = b.error_probability;
   base["fade_fraction"] = b.fade_fraction;
   base["mean_burst_symbols"] = b.mean_burst_symbols;

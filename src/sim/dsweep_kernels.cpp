@@ -58,8 +58,6 @@ PipelineConfig base_from_json(const Json& b) {
   base.side = static_cast<std::uint64_t>(b.at("side").as_double());
   base.symbols_per_burst =
       static_cast<std::uint64_t>(b.at("symbols_per_burst").as_double());
-  base.stream_chunk_symbols =
-      static_cast<std::uint64_t>(b.at("stream_chunk_symbols").as_double());
   base.error_probability = b.at("error_probability").as_double();
   base.fade_fraction = b.at("fade_fraction").as_double();
   base.mean_burst_symbols = b.at("mean_burst_symbols").as_double();

@@ -20,7 +20,6 @@ namespace tbi::sim {
 namespace {
 
 constexpr unsigned kChannelSymbolBits = 8;  // RS symbols are bytes
-constexpr std::uint64_t kDefaultChunkSymbols = 65536;
 
 /// One channel hit in the frame workspace: input index << 8 | XOR flip.
 using Hit = std::uint64_t;
@@ -193,7 +192,7 @@ struct FrameWorkspace {
 
   /// Bytes currently held across all buffers (capacities, so reserve
   /// growth is charged) — the instrumented counter the paper-scale
-  /// memory test bounds against the chunk size.
+  /// memory test bounds by the per-frame error count.
   std::uint64_t allocated_bytes() const {
     const auto scratch_bytes = [](const fec::RsScratch& s) {
       return s.synd.capacity() + s.sigma.capacity() + s.prev.capacity() +
@@ -405,25 +404,18 @@ std::unique_ptr<source::ErrorSource> make_source(const PipelineConfig& config) {
     }
     src = source::TraceReplaySource::open(config.trace_replay);
   } else if (config.channel != "none") {
-    const std::uint64_t chunk = config.stream_chunk_symbols != 0
-                                    ? config.stream_chunk_symbols
-                                    : kDefaultChunkSymbols;
     // Same stream split as the pre-source pipeline: index 1 off the cell
     // seed is the channel stream (index 0 is data), so a single link
     // reproduces the legacy channel_rng draws bit for bit.
     const std::uint64_t channel_root = job_seed(config.seed, 1);
     const auto factory = [config]() { return make_channel(config); };
     if (config.links == 1) {
-      src = std::make_unique<source::ChannelSource>(factory, channel_root, chunk);
+      src = std::make_unique<source::ChannelSource>(factory, channel_root);
     } else {
-      // Per-link chunks shrink with the link count so N links hold about
-      // the same total scratch as one.
-      const std::uint64_t link_chunk =
-          std::max<std::uint64_t>(4096, chunk / config.links);
       std::vector<source::MultiLinkSource::Link> links(config.links);
       for (unsigned l = 0; l < config.links; ++l) {
         links[l].source = std::make_unique<source::ChannelSource>(
-            factory, job_seed(channel_root, l), link_chunk);
+            factory, job_seed(channel_root, l));
         links[l].phase_offset =
             static_cast<std::uint64_t>(l) * config.link_phase_symbols;
       }
@@ -471,9 +463,7 @@ PipelineResult run_pipeline(const PipelineConfig& config,
     };
     result.channel_symbol_errors += src->events(frame_base, capacity, to_hit);
   };
-  result.workspace_peak_bytes =
-      run_frames(config, rs, geo.layout, load_hits, result) +
-      (src != nullptr ? src->scratch_bytes() : 0);
+  result.workspace_peak_bytes = run_frames(config, rs, geo.layout, load_hits, result);
 
   run_dram_phase(config, geo.side, result);
   return result;
@@ -536,8 +526,7 @@ PipelineSliceResult run_pipeline_slice(const PipelineConfig& config, unsigned sl
     out.channel_symbol_errors += src->events(frame_base + lo, hi - lo, to_hit);
   }
   out.host_ns = perf::now_ns() - host_start;
-  out.workspace_peak_bytes = out.hits.capacity() * sizeof(StreamHit) +
-                             (src != nullptr ? src->scratch_bytes() : 0);
+  out.workspace_peak_bytes = out.hits.capacity() * sizeof(StreamHit);
   return out;
 }
 

@@ -7,10 +7,9 @@
 /// bandwidth it needs.
 ///
 /// One frame path, two word layouts. The frame is never materialized:
-/// every Channel corrupts symbols with data-independent draws
-/// (guaranteed non-zero XOR flips), so the source yields the sparse
-/// corruption events of a frame straight from the wire order in bounded
-/// chunks, and each event maps back to its input position through the
+/// every Channel emits its corruption events (wire position, non-zero XOR
+/// flip, drawn independently of the data) straight from the wire order,
+/// and each event maps back to its input position through the
 /// interleaver's O(1) inverse permutation. RS is linear and its decoder
 /// works from syndromes alone, so each touched word is decoded as the
 /// all-zero code word plus its hits — no data is generated or encoded
@@ -24,9 +23,9 @@
 ///   size is decoupled from the code word — full RS(n, k) words are
 ///   packed back to back into the interleaver's symbol capacity.
 ///
-/// Peak memory is bounded by the chunk size plus the per-frame error
-/// count — never by the triangle capacity — which is what makes the
-/// paper's 12.5 M-symbol frames simulable.
+/// Peak memory is bounded by the per-frame error list (plus one code word
+/// and the decoder scratch) — never by the triangle capacity — which is
+/// what makes the paper's 12.5 M-symbol frames simulable.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +65,6 @@ struct PipelineConfig {
   /// The default matches a 64-byte DRAM burst of byte symbols; the
   /// paper's 3-bit-symbol geometry corresponds to 170.
   std::uint64_t symbols_per_burst = 64;
-  /// Wire symbols the channel source scans per chunk (bounds the peak
-  /// allocation; 0 = the 65536 default).
-  std::uint64_t stream_chunk_symbols = 65536;
 
   // --- channel knobs -------------------------------------------------------
   double error_probability = 1e-3;  ///< bsc: per-symbol error probability
@@ -114,10 +110,10 @@ struct PipelineResult {
   std::uint64_t corrected_symbols = 0;      ///< RS corrections on good decodes
   std::uint64_t frame_symbols = 0;          ///< interleaver symbol capacity per frame
   /// Peak bytes held by the reusable frame workspace over the whole run
-  /// (all buffer capacities, including the decoder scratch, the per-frame
-  /// hit list and the source's chunk). The paper-scale memory test
-  /// asserts this stays bounded by the chunk size, not the triangle
-  /// capacity.
+  /// (all buffer capacities: one code word, the decoder scratch and the
+  /// per-frame hit list). Sources hold no frame workspace, so this is
+  /// bounded by the per-frame error count; the paper-scale memory test
+  /// asserts it never grows with the triangle capacity.
   std::uint64_t workspace_peak_bytes = 0;
 
   // --- in-process perf counters (src/perf/counters.hpp) --------------------

@@ -2,67 +2,28 @@
 /// Burst sources: the pipeline-facing abstraction over "where do
 /// corruption events come from".
 ///
-/// The FER pipeline historically called Channel::apply directly, which
-/// welded it to live channel simulation: no replaying a recorded burst
-/// trace, no composing several links into one wire stream. An
-/// ErrorSource decouples that — it yields corruption events (wire
-/// position + XOR flip) over any requested wire-position range, and the
-/// pipeline consumes events without caring whether they came from a
-/// channel model, a trace file, or N interleaved links (DESIGN.md §6).
-///
-/// The contract leans on the same property the pipeline's frame loop
-/// exploits: every channel's corruption is data-independent
-/// (guaranteed non-zero XOR flips drawn independently of symbol
-/// values), so running a channel over a zeroed scratch buffer recovers
-/// the exact (position, flip) events it would have applied in place.
+/// An ErrorSource yields corruption events (wire position + XOR flip)
+/// over any requested wire-position range, and the pipeline consumes
+/// events without caring whether they came from a channel model, a trace
+/// file, or N interleaved links (DESIGN.md §6). The event type and the
+/// non-allocating sink are the channel layer's own (channel.hpp): a
+/// ChannelSource hands the caller's sink straight to the channel, so a
+/// live channel costs one indirect call per event and nothing per clean
+/// symbol beyond its RNG draws.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "channel/channel.hpp"
 
 namespace tbi::source {
 
-/// One corruption event on the wire stream.
-struct Corruption {
-  std::uint64_t wire_pos = 0;  ///< absolute wire position (symbol index)
-  std::uint8_t flip = 0;       ///< non-zero XOR mask applied to the symbol
-};
-
-inline bool operator==(const Corruption& a, const Corruption& b) {
-  return a.wire_pos == b.wire_pos && a.flip == b.flip;
-}
-
-/// Non-owning reference to a `void(const Corruption&)` callable.
-///
-/// Events flow source -> pipeline through this instead of std::function
-/// so the per-frame hot path never allocates (a capturing lambda bigger
-/// than the std::function small-buffer would heap-allocate every frame
-/// and break the zero-steady-allocation invariant). The referenced
-/// callable must outlive the events() call, which always holds for the
-/// call-site lambdas used here.
-class EventSink {
- public:
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, EventSink>>>
-  EventSink(F&& f)  // NOLINT: implicit by design, mirrors function_ref
-      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
-        call_([](void* obj, const Corruption& e) {
-          (*static_cast<std::remove_reference_t<F>*>(obj))(e);
-        }) {}
-
-  void operator()(const Corruption& e) const { call_(obj_, e); }
-
- private:
-  void* obj_;
-  void (*call_)(void*, const Corruption&);
-};
+using channel::Corruption;
+using channel::EventSink;
 
 /// Yields corruption events over wire-position ranges.
 ///
@@ -93,11 +54,6 @@ class ErrorSource {
                         std::vector<Corruption>& out);
 
   virtual const char* name() const = 0;
-
-  /// Bytes of internal scratch this source retains between calls — the
-  /// pipeline folds this into its workspace_peak_bytes accounting so the
-  /// paper-scale memory bound stays honest after the refactor.
-  virtual std::uint64_t scratch_bytes() const { return 0; }
 };
 
 using ChannelFactory = std::function<std::unique_ptr<channel::Channel>()>;
@@ -105,22 +61,19 @@ using ChannelFactory = std::function<std::unique_ptr<channel::Channel>()>;
 /// Adapts a stateful Channel to the random-access ErrorSource contract.
 ///
 /// Owns the channel instance and its RNG stream. Forward motion uses
-/// Channel::apply_range (skipping any gap); a request behind the current
+/// Channel::events (skipping any gap); a request behind the current
 /// position rebuilds the channel from the factory and reseeds, then
 /// skips forward — deterministic random access at the cost of replaying
 /// the prefix draws (cheap for LEO, whose clean sample windows skip in
 /// O(1); see leo.hpp).
 class ChannelSource final : public ErrorSource {
  public:
-  ChannelSource(ChannelFactory factory, std::uint64_t seed,
-                std::uint64_t chunk_symbols);
+  ChannelSource(ChannelFactory factory, std::uint64_t seed);
 
   std::uint64_t events(std::uint64_t start, std::uint64_t span,
                        EventSink sink) override;
 
   const char* name() const override;
-
-  std::uint64_t scratch_bytes() const override { return chunk_.capacity(); }
 
   const channel::Channel& channel() const { return *channel_; }
 
@@ -129,10 +82,8 @@ class ChannelSource final : public ErrorSource {
 
   ChannelFactory factory_;
   std::uint64_t seed_;
-  std::uint64_t chunk_symbols_;
   std::unique_ptr<channel::Channel> channel_;
   Rng rng_;
-  std::vector<std::uint8_t> chunk_;  ///< zeroed scan buffer for events()
 };
 
 /// Composes N per-link sources into one interleaved wire stream.
@@ -156,8 +107,6 @@ class MultiLinkSource final : public ErrorSource {
                        EventSink sink) override;
 
   const char* name() const override { return "multi-link"; }
-
-  std::uint64_t scratch_bytes() const override;
 
   std::size_t link_count() const { return links_.size(); }
 

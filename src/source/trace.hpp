@@ -78,10 +78,6 @@ class TraceReplaySource final : public ErrorSource {
 
   const char* name() const override { return "trace-replay"; }
 
-  std::uint64_t scratch_bytes() const override {
-    return events_.capacity() * sizeof(Corruption);
-  }
-
   std::uint64_t total_events() const { return events_.size(); }
 
  private:
@@ -105,10 +101,6 @@ class RecordingSource final : public ErrorSource {
                        EventSink sink) override;
 
   const char* name() const override { return inner_->name(); }
-
-  std::uint64_t scratch_bytes() const override {
-    return inner_->scratch_bytes();
-  }
 
   std::uint64_t events_written() const { return writer_.events_written(); }
 

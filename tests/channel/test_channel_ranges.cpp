@@ -1,8 +1,8 @@
-/// Counter-based random access (Channel::apply_range / skip): chunking a
-/// stream through apply_range at arbitrary boundaries — including one
-/// symbol at a time — must be byte-identical to a single sequential
-/// apply() over the whole stream, for every channel model. This is the
-/// contract the source layer (src/source/) builds on.
+/// Counter-based random access (Channel::events): walking a stream
+/// through events() at arbitrary boundaries — including one symbol at a
+/// time, and with gaps crossed unobserved — must yield exactly the
+/// corruption of a single call over the whole stream, for every channel
+/// model. This is the contract the source layer (src/source/) builds on.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,9 +11,12 @@
 #include "channel/bsc.hpp"
 #include "channel/gilbert_elliott.hpp"
 #include "channel/leo.hpp"
+#include "support/channel_buffer.hpp"
 
 namespace tbi::channel {
 namespace {
+
+using test::corrupt;
 
 std::unique_ptr<Channel> make_named(const std::string& which) {
   if (which == "bsc") return std::make_unique<SymmetricChannel>(0.01, 8);
@@ -39,7 +42,7 @@ TEST_P(ChannelRanges, ChunkedApplyRangeMatchesSequentialApply) {
   auto whole = make_named(GetParam());
   Rng rng_whole(42);
   std::vector<std::uint8_t> data_whole(kTotal, 0);
-  const auto errors_whole = whole->apply(data_whole, rng_whole);
+  const auto errors_whole = corrupt(*whole, data_whole, rng_whole);
   ASSERT_GT(errors_whole, 0u);
 
   // Random chunk boundaries, no divisor relationship with any internal
@@ -52,8 +55,8 @@ TEST_P(ChannelRanges, ChunkedApplyRangeMatchesSequentialApply) {
   for (std::size_t pos = 0; pos < kTotal;) {
     const std::size_t len = std::min(
         kTotal - pos, static_cast<std::size_t>(1 + len_rng.uniform(997)));
-    errors_chunked += chunked->apply_range(
-        pos, std::span<std::uint8_t>(data_chunked.data() + pos, len),
+    errors_chunked += corrupt(
+        *chunked, pos, std::span<std::uint8_t>(data_chunked.data() + pos, len),
         rng_chunked);
     pos += len;
   }
@@ -62,21 +65,22 @@ TEST_P(ChannelRanges, ChunkedApplyRangeMatchesSequentialApply) {
 }
 
 TEST_P(ChannelRanges, SingleSymbolChunksMatchSequentialApply) {
-  // The degenerate chunk size: one apply_range call per symbol.
+  // The degenerate chunk size: one events() call per symbol.
   constexpr std::size_t kTotal = 4'000;
 
   auto whole = make_named(GetParam());
   Rng rng_whole(9);
   std::vector<std::uint8_t> data_whole(kTotal, 0);
-  const auto errors_whole = whole->apply(data_whole, rng_whole);
+  const auto errors_whole = corrupt(*whole, data_whole, rng_whole);
 
   auto stepped = make_named(GetParam());
   Rng rng_stepped(9);
   std::vector<std::uint8_t> data_stepped(kTotal, 0);
   std::uint64_t errors_stepped = 0;
   for (std::size_t pos = 0; pos < kTotal; ++pos) {
-    errors_stepped += stepped->apply_range(
-        pos, std::span<std::uint8_t>(data_stepped.data() + pos, 1), rng_stepped);
+    errors_stepped += corrupt(
+        *stepped, pos, std::span<std::uint8_t>(data_stepped.data() + pos, 1),
+        rng_stepped);
   }
   EXPECT_EQ(errors_stepped, errors_whole);
   EXPECT_EQ(data_stepped, data_whole);
@@ -85,13 +89,13 @@ TEST_P(ChannelRanges, SingleSymbolChunksMatchSequentialApply) {
 TEST_P(ChannelRanges, SparseRangesMatchSequentialPattern) {
   // Reading disjoint windows with gaps: the skipped spans must consume
   // exactly the draws a full walk would, so the windows land on the same
-  // corruption pattern a sequential apply produces.
+  // corruption pattern a sequential walk produces.
   constexpr std::size_t kTotal = 60'000;
 
   auto whole = make_named(GetParam());
   Rng rng_whole(31);
   std::vector<std::uint8_t> reference(kTotal, 0);
-  whole->apply(reference, rng_whole);
+  corrupt(*whole, reference, rng_whole);
 
   auto sparse = make_named(GetParam());
   Rng rng_sparse(31);
@@ -104,7 +108,7 @@ TEST_P(ChannelRanges, SparseRangesMatchSequentialPattern) {
     const std::size_t len = std::min(
         kTotal - pos, static_cast<std::size_t>(1 + len_rng.uniform(2000)));
     std::vector<std::uint8_t> window(len, 0);
-    sparse->apply_range(pos, window, rng_sparse);
+    corrupt(*sparse, pos, window, rng_sparse);
     for (std::size_t i = 0; i < len; ++i) {
       EXPECT_EQ(window[i], reference[pos + i]) << "wire position " << pos + i;
       compared_nonzero |= reference[pos + i] != 0;
@@ -118,9 +122,9 @@ TEST_P(ChannelRanges, BackwardStartThrows) {
   auto ch = make_named(GetParam());
   Rng rng(1);
   std::vector<std::uint8_t> data(100, 0);
-  ch->apply_range(500, data, rng);
+  corrupt(*ch, 500, data, rng);
   EXPECT_EQ(ch->position(), 600u);
-  EXPECT_THROW(ch->apply_range(599, data, rng), std::logic_error);
+  EXPECT_THROW(corrupt(*ch, 599, data, rng), std::logic_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ChannelRanges,
@@ -148,14 +152,14 @@ TEST(ChannelSkipAhead, LeoFixedSeedGolden) {
     LeoFadingChannel seq(p);
     Rng rng_seq(seed);
     std::vector<std::uint8_t> prefix(kSkip, 0);
-    seq.apply(prefix, rng_seq);
+    corrupt(seq, prefix, rng_seq);
     std::vector<std::uint8_t> expected(kWindow, 0);
-    const auto expected_errors = seq.apply(expected, rng_seq);
+    const auto expected_errors = corrupt(seq, expected, rng_seq);
 
     LeoFadingChannel skip(p);
     Rng rng_skip(seed);
     std::vector<std::uint8_t> window(kWindow, 0);
-    const auto errors = skip.apply_range(kSkip, window, rng_skip);
+    const auto errors = corrupt(skip, kSkip, window, rng_skip);
 
     ASSERT_EQ(errors, expected_errors) << "seed " << seed;
     ASSERT_EQ(window, expected) << "seed " << seed;

@@ -5,9 +5,17 @@
 #include "channel/bsc.hpp"
 #include "channel/gilbert_elliott.hpp"
 #include "channel/leo.hpp"
+#include "support/channel_buffer.hpp"
 
 namespace tbi::channel {
 namespace {
+
+using test::corrupt;
+
+/// Corrupt one symbol, guaranteeing a change in its low \p bits.
+void corrupt_symbol(std::uint8_t& sym, unsigned bits, Rng& rng) {
+  sym ^= corrupt_flip(bits, rng);
+}
 
 TEST(CorruptSymbol, AlwaysChangesValueWithinMask) {
   Rng rng(1);
@@ -28,7 +36,7 @@ TEST(Symmetric, ErrorRateMatches) {
   SymmetricChannel ch(0.1, 3);
   Rng rng(7);
   std::vector<std::uint8_t> data(100000, 0);
-  const auto errors = ch.apply(data, rng);
+  const auto errors = corrupt(ch, data, rng);
   EXPECT_NEAR(static_cast<double>(errors) / data.size(), 0.1, 0.01);
   std::uint64_t nonzero = 0;
   for (auto s : data) nonzero += s != 0;
@@ -39,9 +47,9 @@ TEST(Symmetric, ZeroAndOneProbabilities) {
   Rng rng(2);
   std::vector<std::uint8_t> data(1000, 0);
   SymmetricChannel none(0.0, 3);
-  EXPECT_EQ(none.apply(data, rng), 0u);
+  EXPECT_EQ(corrupt(none, data, rng), 0u);
   SymmetricChannel all(1.0, 3);
-  EXPECT_EQ(all.apply(data, rng), data.size());
+  EXPECT_EQ(corrupt(all, data, rng), data.size());
 }
 
 TEST(Symmetric, RejectsBadParams) {
@@ -64,7 +72,7 @@ TEST(GilbertElliott, ProducesBurstsNotUniformErrors) {
   GilbertElliottChannel ge(p);
   Rng rng(11);
   std::vector<std::uint8_t> data(200000, 0);
-  const auto ge_errors = ge.apply(data, rng);
+  const auto ge_errors = corrupt(ge, data, rng);
   ASSERT_GT(ge_errors, 1000u);
 
   std::uint64_t transitions = 0;
@@ -84,7 +92,7 @@ TEST(GilbertElliott, MeanBurstLengthRoughlyMatches) {
   GilbertElliottChannel ge(p);
   Rng rng(23);
   std::vector<std::uint8_t> data(500000, 0);
-  ge.apply(data, rng);
+  corrupt(ge, data, rng);
   // Measure mean run length of corrupted symbols.
   std::uint64_t runs = 0, in_run = 0, total = 0;
   for (auto s : data) {
@@ -121,7 +129,7 @@ TEST(Leo, FadeDutyCycleMatchesTarget) {
   LeoFadingChannel ch(p);
   Rng rng(5);
   std::vector<std::uint8_t> data(4'000'000, 0);
-  const auto errors = ch.apply(data, rng);
+  const auto errors = corrupt(ch, data, rng);
   EXPECT_NEAR(static_cast<double>(errors) / data.size(), 0.1, 0.05);
 }
 
@@ -146,7 +154,7 @@ TEST(Leo, ShortStreamsStartFromStationaryState) {
     LeoFadingChannel ch(p);  // fresh channel: each stream is a cold start
     Rng rng(1000 + s);
     std::vector<std::uint8_t> data(2048, 0);  // 32 samples << coherence
-    errors += ch.apply(data, rng);
+    errors += corrupt(ch, data, rng);
     total += data.size();
   }
   const double duty = static_cast<double>(errors) / static_cast<double>(total);
@@ -163,7 +171,7 @@ TEST(Leo, CoherenceProducesLongFades) {
   EXPECT_GT(ch.rho(), 0.99) << "power process must be strongly correlated";
   Rng rng(17);
   std::vector<std::uint8_t> data(4'000'000, 0);
-  ch.apply(data, rng);
+  corrupt(ch, data, rng);
   // Longest error run should be large when any fade occurs.
   std::uint64_t longest = 0, cur = 0;
   for (auto s : data) {
@@ -176,10 +184,10 @@ TEST(Leo, CoherenceProducesLongFades) {
 }
 
 TEST(Leo, SplitApplyMatchesWholeStream) {
-  // The power process is continuous in symbol time: applying the channel
-  // to a stream in arbitrary pieces must yield the identical corruption
-  // pattern as one call (the streaming pipeline chunks the wire order
-  // and relies on this).
+  // The power process is continuous in symbol time: walking a stream in
+  // arbitrary pieces must yield the identical corruption pattern as one
+  // call (sliced and multi-link sources split the wire order and rely on
+  // this).
   LeoChannelParams p;
   p.fade_probability = 0.1;
   p.fade_depth_error_rate = 0.8;
@@ -190,7 +198,7 @@ TEST(Leo, SplitApplyMatchesWholeStream) {
   LeoFadingChannel whole(p);
   Rng rng_whole(9);
   std::vector<std::uint8_t> data_whole(kTotal, 0);
-  const auto errors_whole = whole.apply(data_whole, rng_whole);
+  const auto errors_whole = corrupt(whole, data_whole, rng_whole);
 
   LeoFadingChannel split(p);
   Rng rng_split(9);
@@ -201,7 +209,7 @@ TEST(Leo, SplitApplyMatchesWholeStream) {
     const std::size_t len =
         std::min(kTotal - pos, static_cast<std::size_t>(1 + chunk_rng.uniform(7777)));
     std::vector<std::uint8_t> chunk(len, 0);
-    errors_split += split.apply(chunk, rng_split);
+    errors_split += corrupt(split, chunk, rng_split);
     data_split.insert(data_split.end(), chunk.begin(), chunk.end());
     pos += len;
   }

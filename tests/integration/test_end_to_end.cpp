@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "fec/reed_solomon.hpp"
 #include "interleaver/triangular.hpp"
+#include "support/channel_buffer.hpp"
 
 namespace tbi {
 namespace {
@@ -148,7 +149,7 @@ TEST(EndToEnd, GilbertElliottChannelStatisticsWithInterleaver) {
     auto params =
         channel::GilbertElliottParams::from_burst_profile(300, 0.03, 0.5, 8);
     channel::GilbertElliottChannel ch(params);
-    ch.apply(tx, noise);
+    test::corrupt(ch, tx, noise);
     const auto rx = interleave ? tri.deinterleave(tx) : tx;
     return count_failures(f, rx);
   };

@@ -89,7 +89,11 @@ TEST(Dsweep, MultiProcessMatchesInProcessByteForByte) {
 
 TEST(Dsweep, KilledWorkerIsRespawnedAndResultUnchanged) {
   auto opt = fast_recovery_options(3);
-  opt.faults = FaultSpec::parse("kill-after=2@0");
+  // Every slot carries the fault: a single-slot kill only fires once that
+  // slot has finished 2 cells, and under load the other slots can drain
+  // the whole run before it does. Faults reach only first incarnations,
+  // so the respawned workers finish the run.
+  opt.faults = FaultSpec::parse("kill-after=2@0,kill-after=2@1,kill-after=2@2");
   const auto res = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
   EXPECT_GE(res.stats.worker_restarts, 1u);
   EXPECT_GE(res.stats.cells_reassigned, 1u);
@@ -517,6 +521,7 @@ TEST(DsweepFer, JobConfigOmitsSliceKeysWhenUnsliced) {
   const Json unsliced = fer_job_config(grid, options);
   EXPECT_FALSE(unsliced.contains("frame_slices"));
   EXPECT_FALSE(unsliced.contains("base_seed"));
+  EXPECT_FALSE(unsliced.at("base").contains("stream_chunk_symbols"));
   options.frame_slices = 4;
   const Json sliced = fer_job_config(grid, options);
   ASSERT_TRUE(sliced.contains("frame_slices"));

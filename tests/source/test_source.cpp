@@ -14,6 +14,7 @@
 #include "channel/leo.hpp"
 #include "source/source.hpp"
 #include "source/trace.hpp"
+#include "support/channel_buffer.hpp"
 
 namespace tbi::source {
 namespace {
@@ -43,7 +44,7 @@ std::vector<std::uint8_t> reference_wire(const ChannelFactory& factory,
   auto ch = factory();
   Rng rng(seed);
   std::vector<std::uint8_t> wire(total, 0);
-  ch->apply(wire, rng);
+  test::corrupt(*ch, wire, rng);
   return wire;
 }
 
@@ -60,7 +61,7 @@ TEST(ChannelSource, CorruptMatchesRawChannelApply) {
   constexpr std::size_t kTotal = 60'000;
   const auto expected = reference_wire(ge_factory(), 5, kTotal);
 
-  ChannelSource src(ge_factory(), 5, 4096);
+  ChannelSource src(ge_factory(), 5);
   std::vector<std::uint8_t> wire(kTotal, 0);
   // Frame-sized forward chunks, like the materialized pipeline.
   for (std::size_t pos = 0; pos < kTotal; pos += 7000) {
@@ -71,18 +72,21 @@ TEST(ChannelSource, CorruptMatchesRawChannelApply) {
 }
 
 TEST(ChannelSource, EventsMatchCorruptPattern) {
-  // events() over zeroed scratch chunks must discover exactly the
-  // corruption corrupt() writes, independent of the chunk size.
+  // events() must emit exactly the corruption a sequential walk writes,
+  // in wire order, however the range is split into calls.
   constexpr std::size_t kTotal = 40'000;
   const auto expected = events_of(reference_wire(ge_factory(), 11, kTotal));
   ASSERT_FALSE(expected.empty());
 
-  for (const std::uint64_t chunk : {1u, 313u, 4096u, 100'000u}) {
-    ChannelSource src(ge_factory(), 11, chunk);
+  for (const std::uint64_t step : {1u, 313u, 4096u, 100'000u}) {
+    ChannelSource src(ge_factory(), 11);
     std::vector<Corruption> got;
-    const auto n = src.collect(0, kTotal, got);
+    std::uint64_t n = 0;
+    for (std::uint64_t pos = 0; pos < kTotal; pos += step) {
+      n += src.collect(pos, std::min<std::uint64_t>(step, kTotal - pos), got);
+    }
     EXPECT_EQ(n, got.size());
-    EXPECT_EQ(got, expected) << "chunk_symbols = " << chunk;
+    EXPECT_EQ(got, expected) << "step = " << step;
   }
 }
 
@@ -90,7 +94,7 @@ TEST(ChannelSource, RandomAccessRewindsDeterministically) {
   constexpr std::size_t kTotal = 30'000;
   const auto expected = reference_wire(leo_factory(), 21, kTotal);
 
-  ChannelSource src(leo_factory(), 21, 4096);
+  ChannelSource src(leo_factory(), 21);
   // Walk to the end, then jump back to arbitrary earlier windows: each
   // must reproduce the sequential pattern exactly.
   std::vector<Corruption> sink;
@@ -106,25 +110,17 @@ TEST(ChannelSource, RandomAccessRewindsDeterministically) {
   }
 }
 
-TEST(ChannelSource, ScratchGrowsWithChunkOnly) {
-  ChannelSource src(ge_factory(), 3, 8192);
-  EXPECT_EQ(src.scratch_bytes(), 0u) << "chunk buffer is lazy";
-  std::vector<Corruption> sink;
-  src.collect(0, 100'000, sink);
-  EXPECT_EQ(src.scratch_bytes(), 8192u);
-}
-
 TEST(MultiLink, SingleLinkIsIdentityRemap) {
   // N=1, zero phase: the composite must emit exactly the inner source's
   // events at unchanged positions.
   constexpr std::size_t kTotal = 30'000;
-  ChannelSource plain(ge_factory(), 77, 4096);
+  ChannelSource plain(ge_factory(), 77);
   std::vector<Corruption> expected;
   plain.collect(0, kTotal, expected);
   ASSERT_FALSE(expected.empty());
 
   std::vector<MultiLinkSource::Link> links;
-  links.push_back({std::make_unique<ChannelSource>(ge_factory(), 77, 4096), 0});
+  links.push_back({std::make_unique<ChannelSource>(ge_factory(), 77), 0});
   MultiLinkSource multi(std::move(links));
   std::vector<Corruption> got;
   multi.collect(0, kTotal, got);
@@ -148,10 +144,10 @@ TEST(MultiLink, RoundRobinCompositionMatchesPerLinkStreams) {
   for (std::size_t l = 0; l < kLinks; ++l) {
     const std::uint64_t seed = 400 + l;
     links.push_back(
-        {std::make_unique<ChannelSource>(ge_factory(), seed, 4096), phase[l]});
+        {std::make_unique<ChannelSource>(ge_factory(), seed), phase[l]});
     // Standalone reference covering every local position the composite
     // can touch for this link.
-    ChannelSource ref(ge_factory(), seed, 4096);
+    ChannelSource ref(ge_factory(), seed);
     ref.collect(phase[l], kSpan / kLinks + 1, per_link[l]);
   }
   MultiLinkSource multi(std::move(links));
@@ -185,7 +181,7 @@ TEST(MultiLink, ChunkedQueriesMatchOneShot) {
     std::vector<MultiLinkSource::Link> links;
     for (std::size_t l = 0; l < 4; ++l) {
       links.push_back(
-          {std::make_unique<ChannelSource>(ge_factory(), 900 + l, 4096),
+          {std::make_unique<ChannelSource>(ge_factory(), 900 + l),
            l * 137});
     }
     return std::make_unique<MultiLinkSource>(std::move(links));
@@ -308,7 +304,7 @@ TEST(Recording, TeeWritesEveryEventAndForwards) {
   constexpr std::size_t kTotal = 80'000;
   auto out = std::make_unique<std::ostringstream>();
   auto* out_raw = out.get();
-  RecordingSource rec(std::make_unique<ChannelSource>(ge_factory(), 55, 4096),
+  RecordingSource rec(std::make_unique<ChannelSource>(ge_factory(), 55),
                       std::move(out));
 
   std::vector<Corruption> live;

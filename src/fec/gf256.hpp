@@ -5,10 +5,7 @@
 /// Log/antilog tables are computed at compile time (constexpr), so every
 /// operation is a guard-free inline table lookup: mul() indexes the
 /// 512-entry doubled antilog table directly with log(a)+log(b) — no
-/// `% 255` and no static-init check on the hot path. This matters: the
-/// RS codec performs billions of multiplies in a paper-scale FER sweep,
-/// and the previous function-local-static accessors alone cost ~35% of
-/// bench_fer's runtime.
+/// `% 255` and no static-init check.
 #pragma once
 
 #include <array>

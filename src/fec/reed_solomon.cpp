@@ -1,9 +1,8 @@
 #include "fec/reed_solomon.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
-
-#include "fec/gf256_simd.hpp"
 
 namespace tbi::fec {
 
@@ -37,26 +36,6 @@ ReedSolomon::ReedSolomon(unsigned n, unsigned k) : n_(n), k_(k) {
     }
     generator_ = std::move(next);
   }
-
-  // Row operands for the two kernel loops (gf256_simd.hpp).
-  // Encode's long division subtracts feedback * g(x) with coefficients
-  // descending in power — the monic leading term cancels the current
-  // dividend coefficient implicitly, the rest is the reversed generator.
-  const unsigned p = parity();
-  grev_.assign(p, 0);
-  for (unsigned j = 0; j < p; ++j) grev_[j] = generator_[p - 1 - j];
-
-  // Syndromes as row accumulation instead of Horner: S_i = r(alpha^i) =
-  // sum_j word[j] * alpha^{i(n-1-j)}, so each received position j owns a
-  // contiguous row of root powers that one muladd folds into all parity
-  // accumulators at once.
-  pow_rows_.assign(static_cast<std::size_t>(n_) * p, 0);
-  for (unsigned j = 0; j < n_; ++j) {
-    std::uint8_t* row = pow_rows_.data() + static_cast<std::size_t>(j) * p;
-    for (unsigned i = 0; i < p; ++i) {
-      row[i] = GF256::pow_alpha((i + 1u) * (n_ - 1u - j));
-    }
-  }
 }
 
 void ReedSolomon::encode(std::span<const std::uint8_t> data,
@@ -66,17 +45,21 @@ void ReedSolomon::encode(std::span<const std::uint8_t> data,
   }
   // Systematic encoding as in-place long division of data * x^(n-k) by
   // g(x): the dividend starts as [data | 0^p]; each step cancels the
-  // leading coefficient and XOR-accumulates feedback * grev_ into the
-  // next p coefficients with one muladd. What remains in
-  // c[k..n) IS the parity, already in the word's high-degree-first
-  // layout (c[k+d] is the coefficient of x^(p-1-d)).
+  // leading coefficient c[i] by subtracting c[i] * g(x) aligned under it.
+  // The monic leading term of g cancels c[i] itself, so only the lower p
+  // coefficients are applied. What remains in c[k..n) IS the parity,
+  // already in the word's high-degree-first layout (c[k+d] is the
+  // coefficient of x^(p-1-d)).
   const unsigned p = parity();
   std::uint8_t c[255];
   std::copy(data.begin(), data.end(), c);
   std::fill(c + k_, c + n_, 0);
   for (unsigned i = 0; i < k_; ++i) {
     const std::uint8_t f = c[i];
-    if (f != 0) gf256_muladd(c + i + 1, grev_.data(), f, p);
+    if (f == 0) continue;
+    for (unsigned d = 1; d <= p; ++d) {
+      c[i + d] = GF256::add(c[i + d], GF256::mul(f, generator_[p - d]));
+    }
   }
   if (word.data() != data.data()) {
     std::copy(data.begin(), data.end(), word.begin());
@@ -86,24 +69,25 @@ void ReedSolomon::encode(std::span<const std::uint8_t> data,
 
 bool ReedSolomon::syndromes(std::span<const std::uint8_t> word,
                             std::span<std::uint8_t> out) const {
-  // word[j] is the coefficient of x^(n-1-j); S_i = r(alpha^i) =
-  // sum_j word[j] * alpha^{i(n-1-j)}, accumulated one precomputed power
-  // row per nonzero symbol so every step is a single muladd over all
-  // parity lanes.
+  // word[j] is the coefficient of x^(n-1-j), so S_i = r(alpha^i) =
+  // sum_j word[j] * alpha^{i(n-1-j)}. In the log domain the term of a
+  // nonzero symbol w is alpha^{log w + i(n-1-j)}: the exponent steps by
+  // n-1-j per syndrome, so each term is one antilog lookup and zero
+  // symbols cost nothing.
   const unsigned p = parity();
-  std::array<std::uint8_t, 256> acc{};
+  std::fill(out.begin(), out.end(), 0);
   for (unsigned j = 0; j < n_; ++j) {
     const std::uint8_t w = word[j];
-    if (w != 0) {
-      gf256_muladd(acc.data(), pow_rows_.data() + static_cast<std::size_t>(j) * p, w, p);
+    if (w == 0) continue;
+    const unsigned step = n_ - 1 - j;  // < 255
+    unsigned e = GF256::log_alpha(w);
+    for (unsigned i = 0; i < p; ++i) {
+      e += step;
+      if (e >= 255) e -= 255;
+      out[i] = GF256::add(out[i], GF256::pow_alpha(e));
     }
   }
-  std::uint8_t any = 0;
-  for (unsigned i = 0; i < p; ++i) {
-    out[i] = acc[i];
-    any |= acc[i];
-  }
-  return any == 0;
+  return std::all_of(out.begin(), out.end(), [](std::uint8_t s) { return s == 0; });
 }
 
 bool ReedSolomon::is_codeword(std::span<const std::uint8_t> word) const {

@@ -10,21 +10,19 @@
 /// Decoder: syndromes -> Berlekamp-Massey -> Chien search -> Forney,
 /// correcting up to t = (n-k)/2 symbol errors per code word.
 ///
-/// Hot-path design: the FER pipeline decides every word of weight <= t in
-/// closed form (sim::decode_error_word, DESIGN.md §5), so decode() runs
-/// only on the few words a fade pushes past t. Encode and the syndrome
-/// pass both reduce to the constant-multiplier kernel of gf256_simd.hpp
-/// (DESIGN.md §8): encode is an in-place long division whose feedback
-/// step XOR-accumulates one reversed-generator row per data symbol;
-/// syndromes XOR-accumulate one precomputed power row per nonzero
-/// received symbol (S_i = sum_j w_j * alpha^{i(n-1-j)}). The span
-/// overloads of encode()/decode() write into caller-owned buffers and an
-/// RsScratch workspace, so a steady-state pipeline performs zero heap
+/// Role: the FER pipeline decides every word of weight <= t in closed
+/// form (sim::decode_error_word, DESIGN.md §5) and never encodes, so
+/// decode() runs only on the few words a fade pushes past t, and encode()
+/// serves the tests and examples. Both stay plain (DESIGN.md §8): encode
+/// is the textbook long division of data * x^(n-k) by g(x) with
+/// GF256::mul, and the syndrome pass adds alpha^(log w + i(n-1-j)) for
+/// each nonzero received symbol w at position j, one antilog lookup per
+/// term. The span overloads of encode()/decode() write into caller-owned
+/// buffers and an RsScratch workspace, so decoding performs zero heap
 /// allocations per code word; the vector overloads remain as convenience
 /// wrappers with identical results.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -100,14 +98,6 @@ class ReedSolomon {
   unsigned n_;
   unsigned k_;
   std::vector<std::uint8_t> generator_;  ///< generator polynomial, low degree first
-  /// generator_ reversed and without its monic leading term:
-  /// grev_[j] = generator_[parity-1-j]. Encode's long-division step
-  /// XOR-accumulates feedback * grev_ over the next parity dividend
-  /// coefficients with one gf256_muladd.
-  std::vector<std::uint8_t> grev_;
-  /// Per-position syndrome power rows:
-  /// pow_rows_[j*parity + i] = alpha^{(i+1)(n-1-j)}.
-  std::vector<std::uint8_t> pow_rows_;
 };
 
 }  // namespace tbi::fec

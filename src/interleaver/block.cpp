@@ -23,43 +23,25 @@ std::uint64_t BlockInterleaver::inverse(std::uint64_t k) const {
   return i * cols_ + j;
 }
 
-void BlockInterleaver::interleave_into(std::span<const std::uint8_t> in,
-                                       std::span<std::uint8_t> out) const {
-  if (in.size() != capacity() || out.size() != capacity()) {
-    throw std::invalid_argument("BlockInterleaver: bad size");
-  }
-  // Row-wise in, column-wise out: iterate the write order directly so the
-  // input is read sequentially and no div/mod runs per symbol.
-  std::uint64_t k = 0;
-  for (std::uint64_t i = 0; i < rows_; ++i) {
-    std::uint8_t* col = out.data() + i;
-    for (std::uint64_t j = 0; j < cols_; ++j) col[j * rows_] = in[k++];
-  }
-}
-
-void BlockInterleaver::deinterleave_into(std::span<const std::uint8_t> in,
-                                         std::span<std::uint8_t> out) const {
-  if (in.size() != capacity() || out.size() != capacity()) {
-    throw std::invalid_argument("BlockInterleaver: bad size");
-  }
-  std::uint64_t k = 0;
-  for (std::uint64_t i = 0; i < rows_; ++i) {
-    const std::uint8_t* col = in.data() + i;
-    for (std::uint64_t j = 0; j < cols_; ++j) out[k++] = col[j * rows_];
-  }
-}
-
 std::vector<std::uint8_t> BlockInterleaver::interleave(
     const std::vector<std::uint8_t>& in) const {
+  if (in.size() != capacity()) throw std::invalid_argument("BlockInterleaver: bad size");
+  // Write row-wise, read column-wise: (i, j) moves from i*cols + j to
+  // j*rows + i.
   std::vector<std::uint8_t> out(in.size());
-  interleave_into(in, out);
+  for (std::uint64_t i = 0; i < rows_; ++i) {
+    for (std::uint64_t j = 0; j < cols_; ++j) out[j * rows_ + i] = in[i * cols_ + j];
+  }
   return out;
 }
 
 std::vector<std::uint8_t> BlockInterleaver::deinterleave(
     const std::vector<std::uint8_t>& in) const {
+  if (in.size() != capacity()) throw std::invalid_argument("BlockInterleaver: bad size");
   std::vector<std::uint8_t> out(in.size());
-  deinterleave_into(in, out);
+  for (std::uint64_t i = 0; i < rows_; ++i) {
+    for (std::uint64_t j = 0; j < cols_; ++j) out[i * cols_ + j] = in[j * rows_ + i];
+  }
   return out;
 }
 

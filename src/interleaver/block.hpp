@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -32,13 +31,6 @@ class BlockInterleaver {
   /// Apply the permutation to a full block (in.size() == capacity()).
   std::vector<std::uint8_t> interleave(const std::vector<std::uint8_t>& in) const;
   std::vector<std::uint8_t> deinterleave(const std::vector<std::uint8_t>& in) const;
-
-  /// Allocation-free variants writing into a caller-owned buffer; both
-  /// spans must be capacity() long and must not alias.
-  void interleave_into(std::span<const std::uint8_t> in,
-                       std::span<std::uint8_t> out) const;
-  void deinterleave_into(std::span<const std::uint8_t> in,
-                         std::span<std::uint8_t> out) const;
 
  private:
   std::uint64_t rows_;

@@ -6,8 +6,10 @@
 /// column-wise. Because the upper-left triangle is symmetric in (i,j),
 /// the column-wise packed output offset of column j equals the row-wise
 /// packed offset of row j — both are tri_row_offset(n, j) — which gives a
-/// closed-form O(1) permutation used by both the functional model and the
-/// tests.
+/// closed-form O(1) permutation. The FER pipeline and the two-stage
+/// interleaver use that index map alone; interleave()/deinterleave() walk
+/// a whole block through input_index()/output_index() by definition and
+/// serve as the tests' functional reference.
 ///
 /// The interleaver depth grows along the stream: the first symbols of a
 /// frame are spread shallowly, later ones deeply — exactly the property
@@ -16,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -51,18 +52,8 @@ class TriangularInterleaver {
   std::vector<std::uint8_t> interleave(const std::vector<std::uint8_t>& in) const;
   std::vector<std::uint8_t> deinterleave(const std::vector<std::uint8_t>& in) const;
 
-  /// Allocation-free variants writing into a caller-owned buffer; both
-  /// spans must be capacity() long and must not alias.
-  void interleave_into(std::span<const std::uint8_t> in,
-                       std::span<std::uint8_t> out) const;
-  void deinterleave_into(std::span<const std::uint8_t> in,
-                         std::span<std::uint8_t> out) const;
-
  private:
   std::uint64_t side_;
-  /// row_offset_[i] = tri_row_offset(side_, i): hoists the per-symbol
-  /// offset arithmetic out of the block-permutation inner loops.
-  std::vector<std::uint64_t> row_offset_;
 };
 
 }  // namespace tbi::interleaver

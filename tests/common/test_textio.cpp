@@ -2,7 +2,6 @@
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
 
 namespace tbi {
@@ -89,17 +88,6 @@ TEST(Cli, UsageListsOptions) {
   EXPECT_NE(u.find("--alpha <x>"), std::string::npos);
   EXPECT_NE(u.find("--beta"), std::string::npos);
   EXPECT_NE(u.find("summary text"), std::string::npos);
-}
-
-TEST(Log, LevelGate) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  // Emitting below the threshold must be a no-op (no crash, no output check
-  // needed — this exercises the code path).
-  log_debug("hidden");
-  log_error("visible");
-  set_log_level(before);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/gf256_reference.hpp"
+
 namespace tbi::fec {
 namespace {
 
@@ -67,29 +69,15 @@ TEST(GF256, LogIsInverseOfPow) {
   }
 }
 
-/// Naive carry-less (schoolbook) multiply: shift-and-add in GF(2)[x],
-/// then reduce by the primitive polynomial. The table-driven mul()
-/// (doubled antilog table indexed with log(a)+log(b), no modulo) must
-/// reproduce it for every one of the 256 x 256 input pairs.
-std::uint8_t carryless_reference_mul(std::uint8_t a, std::uint8_t b) {
-  unsigned product = 0;
-  for (unsigned bit = 0; bit < 8; ++bit) {
-    if (b & (1u << bit)) product ^= static_cast<unsigned>(a) << bit;
-  }
-  for (int degree = 14; degree >= 8; --degree) {
-    if (product & (1u << degree)) {
-      product ^= GF256::kPrimitivePoly << (degree - 8);
-    }
-  }
-  return static_cast<std::uint8_t>(product);
-}
-
+// The table-driven mul() (doubled antilog table indexed with
+// log(a)+log(b), no modulo) must reproduce the carry-less reference for
+// every one of the 256 x 256 input pairs.
 TEST(GF256, MulMatchesCarrylessReferenceExhaustively) {
   for (unsigned a = 0; a < 256; ++a) {
     for (unsigned b = 0; b < 256; ++b) {
       ASSERT_EQ(GF256::mul(static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b)),
-                carryless_reference_mul(static_cast<std::uint8_t>(a),
-                                        static_cast<std::uint8_t>(b)))
+                test::carryless_mul(static_cast<std::uint8_t>(a),
+                                    static_cast<std::uint8_t>(b)))
           << "a=" << a << " b=" << b;
     }
   }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "support/gf256_reference.hpp"
 
 namespace tbi::fec {
 namespace {
@@ -128,6 +131,124 @@ TEST(ReedSolomon, ParityOnlyErrorsCorrected) {
   word[rs.n() - 2] ^= 0x80;
   EXPECT_TRUE(rs.decode(word).ok);
   EXPECT_EQ(word, clean);
+}
+
+/// Independent reference for the codec's field arithmetic and polynomial
+/// algebra: the carry-less schoolbook multiply, powers of alpha = 0x02 by
+/// repeated multiplication, generic polynomial long division and Horner
+/// evaluation. It shares no tables and no code with GF256 or ReedSolomon.
+namespace ref {
+
+using test::carryless_mul;
+
+std::uint8_t alpha_pow(unsigned e) {
+  std::uint8_t x = 1;
+  for (unsigned i = 0; i < e; ++i) x = carryless_mul(x, 2);
+  return x;
+}
+
+/// Polynomials are low degree first. g(x) = prod_{i=1}^{p} (x + alpha^i).
+std::vector<std::uint8_t> generator(unsigned p) {
+  std::vector<std::uint8_t> g{1};
+  for (unsigned i = 1; i <= p; ++i) {
+    std::vector<std::uint8_t> next(g.size() + 1, 0);
+    for (std::size_t d = 0; d < g.size(); ++d) {
+      next[d + 1] ^= g[d];                          // x * g
+      next[d] ^= carryless_mul(g[d], alpha_pow(i));  // alpha^i * g
+    }
+    g = std::move(next);
+  }
+  return g;
+}
+
+/// a(x) mod b(x) for monic b, by schoolbook long division.
+std::vector<std::uint8_t> poly_mod(std::vector<std::uint8_t> a,
+                                   const std::vector<std::uint8_t>& b) {
+  const std::size_t db = b.size() - 1;
+  for (std::size_t top = a.size(); top-- > db;) {
+    const std::uint8_t q = a[top];
+    if (q == 0) continue;
+    for (std::size_t d = 0; d <= db; ++d) a[top - db + d] ^= carryless_mul(q, b[d]);
+  }
+  a.resize(db);
+  return a;
+}
+
+/// Parity bytes of systematic RS(n, k) in word order: word[j] is the
+/// coefficient of x^(n-1-j), so parity = d(x) * x^p mod g(x), high
+/// degree first.
+std::vector<std::uint8_t> parity(const std::vector<std::uint8_t>& data, unsigned p) {
+  std::vector<std::uint8_t> shifted(data.size() + p, 0);
+  for (std::size_t j = 0; j < data.size(); ++j) shifted[data.size() + p - 1 - j] = data[j];
+  auto rem = poly_mod(std::move(shifted), generator(p));
+  return {rem.rbegin(), rem.rend()};
+}
+
+/// S_i = r(alpha^i) for i = 1..p, with r(x) = sum_j word[j] x^(n-1-j)
+/// evaluated by Horner.
+std::vector<std::uint8_t> syndromes(const std::vector<std::uint8_t>& word, unsigned p) {
+  std::vector<std::uint8_t> s(p);
+  for (unsigned i = 1; i <= p; ++i) {
+    const std::uint8_t x = alpha_pow(i);
+    std::uint8_t acc = 0;
+    for (std::uint8_t w : word) acc = static_cast<std::uint8_t>(carryless_mul(acc, x) ^ w);
+    s[i - 1] = acc;
+  }
+  return s;
+}
+
+}  // namespace ref
+
+const std::pair<unsigned, unsigned> kKnownAnswerCodes[] = {
+    {255u, 239u}, {255u, 223u}, {255u, 191u}, {63u, 47u}};
+
+TEST(ReedSolomon, ParityMatchesLongDivisionReference) {
+  Rng rng(21);
+  for (auto [n, k] : kKnownAnswerCodes) {
+    const ReedSolomon rs(n, k);
+    for (int trial = 0; trial < 8; ++trial) {
+      const auto data = random_data(k, rng);
+      const auto expected = ref::parity(data, n - k);
+      const auto word = rs.encode(data);
+      ASSERT_EQ(std::vector<std::uint8_t>(word.begin() + k, word.end()), expected)
+          << "RS(" << n << "," << k << ") trial " << trial;
+      // In-place encode (data aliasing the word's first k bytes) agrees.
+      std::vector<std::uint8_t> in_place(data);
+      in_place.resize(n, 0xA5);
+      rs.encode(std::span<const std::uint8_t>(in_place.data(), k), in_place);
+      EXPECT_EQ(in_place, word);
+    }
+  }
+}
+
+TEST(ReedSolomon, SyndromesMatchHornerReference) {
+  // decode() leaves S_1..S_{n-k} in RsScratch::synd whatever its outcome.
+  // Dense random words, sparse ones (the zero-skipping path) and clean
+  // code words (all-zero syndromes) are all checked.
+  Rng rng(22);
+  for (auto [n, k] : kKnownAnswerCodes) {
+    const ReedSolomon rs(n, k);
+    RsScratch scratch;
+    for (int trial = 0; trial < 12; ++trial) {
+      std::vector<std::uint8_t> word(n, 0);
+      if (trial % 3 == 0) {
+        word = random_data(n, rng);
+      } else if (trial % 3 == 1) {
+        for (auto& w : word) {
+          if (rng.uniform(8) == 0) w = static_cast<std::uint8_t>(rng.next_u64());
+        }
+      } else {
+        word = rs.encode(random_data(k, rng));
+      }
+      const auto expected = ref::syndromes(word, n - k);
+      auto received = word;
+      rs.decode(received, scratch);
+      ASSERT_EQ(scratch.synd, expected) << "RS(" << n << "," << k << ") trial " << trial;
+      EXPECT_EQ(rs.is_codeword(word),
+                std::all_of(expected.begin(), expected.end(),
+                            [](std::uint8_t s) { return s == 0; }));
+    }
+  }
 }
 
 TEST(ReedSolomon, RejectsBadParameters) {

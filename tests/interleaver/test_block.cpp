@@ -65,6 +65,8 @@ TEST(Block, RejectsBadInput) {
   const BlockInterleaver b(4, 4);
   EXPECT_THROW(b.permute(16), std::out_of_range);
   EXPECT_THROW(b.interleave(std::vector<std::uint8_t>(15)), std::invalid_argument);
+  EXPECT_THROW(b.deinterleave(std::vector<std::uint8_t>(15)), std::invalid_argument);
+  EXPECT_THROW(b.deinterleave(std::vector<std::uint8_t>(17)), std::invalid_argument);
 }
 
 }  // namespace

@@ -110,6 +110,9 @@ TEST(Triangular, RejectsBadInput) {
   const TriangularInterleaver t(10);
   EXPECT_THROW(t.write_position(t.capacity()), std::out_of_range);
   EXPECT_THROW(t.interleave(std::vector<std::uint8_t>(3)), std::invalid_argument);
+  EXPECT_THROW(t.deinterleave(std::vector<std::uint8_t>(3)), std::invalid_argument);
+  EXPECT_THROW(t.deinterleave(std::vector<std::uint8_t>(t.capacity() + 1)),
+               std::invalid_argument);
 }
 
 }  // namespace

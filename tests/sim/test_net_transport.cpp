@@ -173,17 +173,25 @@ TEST(DsweepTcp, NoWorkerEverConnectsDegradesToInProcess) {
 
 TEST(DsweepTcp, KilledRemoteWorkerProcessIsRecovered) {
   // One worker is a real re-exec'd process; SIGKILL lands mid-grid (a
-  // cell takes 5 ms, the grid ~60 ms across two workers). The driver
-  // must survive the dead peer (EPIPE, not SIGPIPE), reassign its
-  // in-flight cell and finish on the surviving worker.
+  // cell takes 5 ms, the grid ~120 ms on one worker). The driver must
+  // survive the dead peer (EPIPE, not SIGPIPE), reassign its in-flight
+  // cell and finish on the surviving worker. The child dials in alone and
+  // the kill waits for its first committed cell, which proves it was
+  // adopted; only then does the in-thread worker start. No fixed delay is
+  // safe: a sanitized child can still be starting up when it fires.
   Fleet fleet;
   const Json job = echo_job(5000);
   auto opt = fleet.driver_options(2);
-  fleet.start_workers(1);
+  std::promise<void> first_commit;
+  bool committed = false;
+  opt.progress = [&](const SweepProgress&) {
+    if (!committed) first_commit.set_value();
+    committed = true;
+  };
 
   char exe[4096] = {0};
   ASSERT_GT(::readlink("/proc/self/exe", exe, sizeof exe - 1), 0);
-  std::thread killer([&fleet, &exe] {
+  std::thread killer([&fleet, &exe, adopted = first_commit.get_future()] {
     const std::string spec = "127.0.0.1:" + std::to_string(fleet.port.get());
     const pid_t pid = ::fork();
     if (pid == 0) {
@@ -191,7 +199,8 @@ TEST(DsweepTcp, KilledRemoteWorkerProcessIsRecovered) {
       ::_exit(127);
     }
     ASSERT_GT(pid, 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    adopted.wait();
+    fleet.start_workers(1);
     ::kill(pid, SIGKILL);
     int status = 0;
     ::waitpid(pid, &status, 0);

@@ -7,7 +7,8 @@ namespace tbi::channel {
 GilbertElliottParams GilbertElliottParams::from_burst_profile(
     double mean_burst_symbols, double bad_fraction, double error_bad,
     unsigned symbol_bits) {
-  if (mean_burst_symbols < 1.0 || bad_fraction <= 0.0 || bad_fraction >= 1.0) {
+  // Written so that NaN fails every test.
+  if (!(mean_burst_symbols >= 1.0) || !(bad_fraction > 0.0 && bad_fraction < 1.0)) {
     throw std::invalid_argument("GilbertElliottParams: bad burst profile");
   }
   GilbertElliottParams p;
@@ -27,6 +28,9 @@ GilbertElliottChannel::GilbertElliottChannel(GilbertElliottParams params)
       !check01(params_.error_good) || !check01(params_.error_bad)) {
     throw std::invalid_argument("GilbertElliottChannel: probability out of range");
   }
+  if (params_.symbol_bits == 0) {
+    throw std::invalid_argument("GilbertElliottChannel: symbol_bits must be > 0");
+  }
 }
 
 double GilbertElliottChannel::stationary_bad() const {
@@ -37,19 +41,22 @@ double GilbertElliottChannel::stationary_bad() const {
 std::uint64_t GilbertElliottChannel::advance(std::uint64_t span, Rng& rng,
                                              EventSink sink) {
   const std::uint64_t base = position();
+  const Rng::Bernoulli to_bad(params_.p_gb);
+  const Rng::Bernoulli to_good(params_.p_bg);
+  const Rng::Bernoulli error_good(params_.error_good);
+  const Rng::Bernoulli error_bad(params_.error_bad);
+  bool bad = bad_;
   std::uint64_t corrupted = 0;
   for (std::uint64_t i = 0; i < span; ++i) {
-    if (bad_) {
-      if (rng.bernoulli(params_.p_bg)) bad_ = false;
-    } else {
-      if (rng.bernoulli(params_.p_gb)) bad_ = true;
-    }
-    const double p = bad_ ? params_.error_bad : params_.error_good;
-    if (p > 0.0 && rng.bernoulli(p)) {
+    bad = bad ? !rng.bernoulli(to_good) : rng.bernoulli(to_bad);
+    // A state whose error rate is 0 makes no error draw at all.
+    const Rng::Bernoulli& error = bad ? error_bad : error_good;
+    if (error.possible() && rng.bernoulli(error)) {
       sink({base + i, corrupt_flip(params_.symbol_bits, rng)});
       ++corrupted;
     }
   }
+  bad_ = bad;
   return corrupted;
 }
 

@@ -43,12 +43,16 @@ double inv_norm_cdf(double p) {
 }  // namespace
 
 LeoFadingChannel::LeoFadingChannel(LeoChannelParams params) : params_(params) {
-  if (params_.symbol_rate_hz <= 0 || params_.coherence_time_s <= 0 ||
-      params_.symbols_per_sample == 0) {
+  // Every test is written so that NaN fails it.
+  if (!(params_.symbol_rate_hz > 0) || !(params_.coherence_time_s > 0) ||
+      params_.symbols_per_sample == 0 || params_.symbol_bits == 0) {
     throw std::invalid_argument("LeoFadingChannel: bad parameters");
   }
-  if (params_.fade_probability <= 0.0 || params_.fade_probability >= 1.0) {
+  if (!(params_.fade_probability > 0.0 && params_.fade_probability < 1.0)) {
     throw std::invalid_argument("LeoFadingChannel: fade_probability in (0,1)");
+  }
+  if (!(params_.fade_depth_error_rate >= 0.0 && params_.fade_depth_error_rate <= 1.0)) {
+    throw std::invalid_argument("LeoFadingChannel: fade_depth_error_rate in [0,1]");
   }
   const double samples_per_coherence =
       params_.coherence_time_s * params_.symbol_rate_hz /
@@ -80,6 +84,7 @@ std::uint64_t LeoFadingChannel::advance(std::uint64_t span, Rng& rng,
   const std::uint64_t base = position();
   std::uint64_t corrupted = 0;
   const double sigma = std::sqrt(1.0 - rho_ * rho_);
+  const Rng::Bernoulli fade_error(params_.fade_depth_error_rate);
   std::uint64_t k = 0;
   while (k < span) {
     if (sample_phase_ == 0) {
@@ -102,7 +107,7 @@ std::uint64_t LeoFadingChannel::advance(std::uint64_t span, Rng& rng,
       // The per-symbol draws only exist inside fades, so every clean
       // sample window costs one power sample and no per-symbol draws.
       for (std::uint64_t i = k; i < k + take; ++i) {
-        if (rng.bernoulli(params_.fade_depth_error_rate)) {
+        if (rng.bernoulli(fade_error)) {
           sink({base + i, corrupt_flip(params_.symbol_bits, rng)});
           ++corrupted;
         }

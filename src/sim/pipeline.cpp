@@ -1,6 +1,7 @@
 #include "sim/pipeline.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -381,8 +382,11 @@ std::unique_ptr<channel::Channel> make_channel(const PipelineConfig& config) {
     p.fade_probability = config.fade_fraction;
     p.fade_depth_error_rate = config.error_rate_bad;
     p.symbol_bits = kChannelSymbolBits;
-    p.symbols_per_sample = static_cast<unsigned>(
-        std::max<double>(1.0, config.mean_burst_symbols / 16.0));
+    const double stride = std::max<double>(1.0, config.mean_burst_symbols / 16.0);
+    if (!(stride <= std::numeric_limits<unsigned>::max())) {
+      throw std::invalid_argument("pipeline: leo mean_burst_symbols too large");
+    }
+    p.symbols_per_sample = static_cast<unsigned>(stride);
     return std::make_unique<channel::LeoFadingChannel>(p);
   }
   throw std::invalid_argument("pipeline: unknown channel '" + config.channel + "'");

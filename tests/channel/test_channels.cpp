@@ -56,6 +56,7 @@ TEST(Symmetric, RejectsBadParams) {
   EXPECT_THROW(SymmetricChannel(-0.1, 3), std::invalid_argument);
   EXPECT_THROW(SymmetricChannel(1.1, 3), std::invalid_argument);
   EXPECT_THROW(SymmetricChannel(0.5, 0), std::invalid_argument);
+  EXPECT_THROW(SymmetricChannel(std::nan(""), 3), std::invalid_argument);
 }
 
 TEST(GilbertElliott, StationaryBadFraction) {
@@ -113,8 +114,18 @@ TEST(GilbertElliott, RejectsBadProfiles) {
                std::invalid_argument);
   EXPECT_THROW(GilbertElliottParams::from_burst_profile(100, 0.0, 0.5, 3),
                std::invalid_argument);
+  EXPECT_THROW(GilbertElliottParams::from_burst_profile(std::nan(""), 0.1, 0.5, 3),
+               std::invalid_argument);
+  EXPECT_THROW(GilbertElliottParams::from_burst_profile(100, std::nan(""), 0.5, 3),
+               std::invalid_argument);
   GilbertElliottParams p;
   p.p_gb = 1.5;
+  EXPECT_THROW(GilbertElliottChannel{p}, std::invalid_argument);
+  p = GilbertElliottParams{};
+  p.error_bad = std::nan("");
+  EXPECT_THROW(GilbertElliottChannel{p}, std::invalid_argument);
+  p = GilbertElliottParams{};
+  p.symbol_bits = 0;  // corrupt_flip would never find a non-zero flip
   EXPECT_THROW(GilbertElliottChannel{p}, std::invalid_argument);
 }
 
@@ -228,6 +239,22 @@ TEST(Leo, RejectsBadParams) {
   EXPECT_THROW(LeoFadingChannel{p}, std::invalid_argument);
   p = LeoChannelParams{};
   p.coherence_time_s = 0;
+  EXPECT_THROW(LeoFadingChannel{p}, std::invalid_argument);
+  const double nan = std::nan("");
+  for (double LeoChannelParams::*field :
+       {&LeoChannelParams::symbol_rate_hz, &LeoChannelParams::coherence_time_s,
+        &LeoChannelParams::fade_probability, &LeoChannelParams::fade_depth_error_rate}) {
+    p = LeoChannelParams{};
+    p.*field = nan;
+    EXPECT_THROW(LeoFadingChannel{p}, std::invalid_argument);
+  }
+  for (double rate : {-0.1, 1.5}) {
+    p = LeoChannelParams{};
+    p.fade_depth_error_rate = rate;
+    EXPECT_THROW(LeoFadingChannel{p}, std::invalid_argument);
+  }
+  p = LeoChannelParams{};
+  p.symbol_bits = 0;  // corrupt_flip would never find a non-zero flip
   EXPECT_THROW(LeoFadingChannel{p}, std::invalid_argument);
 }
 

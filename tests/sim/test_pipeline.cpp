@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -678,6 +680,35 @@ TEST(MakeSource, ValidatesConfig) {
   const auto src = make_source(multi);
   ASSERT_NE(src, nullptr);
   EXPECT_STREQ(src->name(), "multi-link");
+}
+
+TEST(MakeSource, RejectsInvalidChannelValues) {
+  // Experiment-config values reach the channel constructors through
+  // make_source; NaN and out-of-range values must throw there, not reach
+  // the walk.
+  const double nan = std::nan("");
+  const auto rejects = [](const std::string& channel, double PipelineConfig::*field,
+                          double value) {
+    PipelineConfig c;
+    c.channel = channel;
+    c.*field = value;
+    EXPECT_THROW(make_source(c), std::invalid_argument)
+        << channel << " value " << value;
+  };
+  rejects("bsc", &PipelineConfig::error_probability, nan);
+  rejects("bsc", &PipelineConfig::error_probability, 1.5);
+  for (const char* channel : {"gilbert-elliott", "leo"}) {
+    rejects(channel, &PipelineConfig::fade_fraction, nan);
+    rejects(channel, &PipelineConfig::mean_burst_symbols, nan);
+    rejects(channel, &PipelineConfig::error_rate_bad, nan);
+    rejects(channel, &PipelineConfig::error_rate_bad, -0.5);
+    rejects(channel, &PipelineConfig::error_rate_bad, 1.5);
+  }
+  // A coherence length whose sampling stride does not fit the channel's
+  // unsigned stride.
+  rejects("leo", &PipelineConfig::mean_burst_symbols, 1e300);
+  rejects("leo", &PipelineConfig::mean_burst_symbols,
+          std::numeric_limits<double>::infinity());
 }
 
 TEST(FerSweep, LinksAxisExpandsAndStaysDeterministic) {
